@@ -953,6 +953,8 @@ class UmcEngine:
             self.stats.fraig_classes = self.preprocess.fraig_classes
             self.stats.fraig_merges = self.preprocess.fraig_merges
             self.stats.fraig_sat_confirms = self.preprocess.fraig_sat_confirms
+            self.stats.fraig_sat_refutes = self.preprocess.fraig_sat_refutes
+            self.stats.fraig_rounds = self.preprocess.fraig_rounds
         self._cex_searcher = None
         self._fixpoint_checker = None
         # Foreign-lemma state is per-run (the clause group lived in the

@@ -31,7 +31,8 @@ STAT_GROUPS: Dict[str, tuple] = {
                "propagations", "max_call_conflicts"),
     "preprocess": ("pre_inputs_removed", "pre_latches_removed",
                    "pre_ands_removed", "pre_cnf_clauses_eliminated",
-                   "fraig_classes", "fraig_merges", "fraig_sat_confirms"),
+                   "fraig_classes", "fraig_merges", "fraig_sat_confirms",
+                   "fraig_sat_refutes", "fraig_rounds"),
     "lifecycle": ("itp_extractions", "itp_nodes", "containment_checks",
                   "proof_nodes_trimmed", "itp_ands_compacted",
                   "fixpoint_encodings_reused", "fixpoint_groups_shed",
@@ -79,8 +80,10 @@ class EngineStats:
     checks.  All stay 0 with ``EngineOptions.preprocess`` off.  The
     ``fraig_*`` counters expose the SAT-sweeping pass of the pipeline:
     candidate equivalence classes examined, nodes merged onto class
-    representatives, and the miter UNSAT answers that proved those merges
-    (they stay 0 when the pipeline contains no ``fraig`` pass).
+    representatives, the miter UNSAT answers that proved those merges, the
+    miter SAT answers whose counterexamples split classes, and the
+    simulation rounds evaluated (they stay 0 when the pipeline contains no
+    ``fraig`` pass).
 
     The interpolant-lifecycle counters measure what the post-extraction
     machinery saved: ``proof_nodes_trimmed`` — proof nodes removed from
@@ -129,6 +132,8 @@ class EngineStats:
     fraig_classes: int = 0
     fraig_merges: int = 0
     fraig_sat_confirms: int = 0
+    fraig_sat_refutes: int = 0
+    fraig_rounds: int = 0
     proof_nodes_trimmed: int = 0
     itp_ands_compacted: int = 0
     fixpoint_encodings_reused: int = 0
@@ -165,6 +170,8 @@ class EngineStats:
             "fraig_classes": self.fraig_classes,
             "fraig_merges": self.fraig_merges,
             "fraig_sat_confirms": self.fraig_sat_confirms,
+            "fraig_sat_refutes": self.fraig_sat_refutes,
+            "fraig_rounds": self.fraig_rounds,
             "proof_nodes_trimmed": self.proof_nodes_trimmed,
             "itp_ands_compacted": self.itp_ands_compacted,
             "fixpoint_encodings_reused": self.fixpoint_encodings_reused,

@@ -200,6 +200,16 @@ class PreprocessResult:
         """Miter UNSAT answers that proved fraig merges."""
         return self._extra_total("fraig_sat_confirms")
 
+    @property
+    def fraig_sat_refutes(self) -> int:
+        """Miter SAT answers whose counterexamples refined fraig classes."""
+        return self._extra_total("fraig_sat_refutes")
+
+    @property
+    def fraig_rounds(self) -> int:
+        """Simulation rounds fraiging evaluated (initial + counterexample)."""
+        return self._extra_total("fraig_rounds")
+
 
 class Pipeline:
     """Run a sequence of passes, composing models, maps and statistics."""

@@ -129,9 +129,11 @@ def test_copy_is_independent():
     aig = Aig("orig")
     a = aig.add_input()
     copy = aig.copy()
-    copy.add_input()
+    extra = lit_var(copy.add_input())
     assert aig.num_inputs == 1
     assert copy.num_inputs == 2
+    assert copy.is_input(lit_var(a)) and copy.is_input(extra)
+    assert not aig.is_input(extra)
     assert copy.name == "orig"
 
 

@@ -10,15 +10,23 @@ runs must be indistinguishable (k_fp/j_fp included).
 import pytest
 
 from repro.aig import Aig, Model
-from repro.aig.aig import FALSE, lit_negate, lit_var
+from repro.aig.aig import FALSE, lit_from_var, lit_negate, lit_var
+from repro.aig.simulate import simulate_comb
 from repro.bmc import BmcEngine
 from repro.circuits import get_instance, quick_suite, redundant_suite
 from repro.core import ENGINES, EngineOptions, run_engine
+from repro.fuzz import generate
 from repro.preprocess import (DEFAULT_PASSES, FraigConfig, FraigPass,
                               build_pipeline, find_equivalences)
 
 #: The default pipeline with only the fraig stage removed.
 _NO_FRAIG = tuple(name for name in DEFAULT_PASSES if name != "fraig")
+
+#: The default passes that run before fraig.
+_PRE_FRAIG = DEFAULT_PASSES[:DEFAULT_PASSES.index("fraig")]
+
+#: Largest leaf count the exhaustive merge oracle enumerates (2**12 lanes).
+_ORACLE_LEAVES = 12
 
 _INSTANCES = quick_suite() + redundant_suite()
 
@@ -84,6 +92,87 @@ def test_fraig_is_deterministic():
                               second.sat_refutes, second.rounds)
 
 
+def _pre_fraig_model(name):
+    return build_pipeline(_PRE_FRAIG).run(get_instance(name).build()).model
+
+
+@pytest.mark.parametrize("name, ceiling", [("indA1_ring12", 25),
+                                           ("indA2_ring16", 100)])
+def test_fraig_miter_refutations_stay_under_ceiling(name, ceiling):
+    # Each counterexample is simulated with its distance-1 neighbours as
+    # soon as it is found, so one refutation splits many class members at
+    # once; the ceilings leave headroom over the measured 18 and 76.
+    model = _pre_fraig_model(name)
+    found = find_equivalences(model)
+    assert not found.merges
+    assert found.sat_refutes <= ceiling, found.sat_refutes
+    extra = FraigPass().apply(model).stats.extra
+    assert extra["fraig_sat_refutes"] == found.sat_refutes
+    assert extra["fraig_rounds"] == found.rounds
+
+
+def test_fraig_merges_on_pipelined_dup10_are_pinned():
+    found = find_equivalences(_pre_fraig_model("red_dup10"))
+    assert found.merges == {23: 42, 32: 42, 33: 43, 34: 43}
+    assert found.sat_confirms == 4
+
+
+def _oracle_merges(model):
+    """The unique merge set, from exhaustive truth tables over the leaves.
+
+    Every cone gate redirects to the earliest node of the fraig order
+    (constant, leaves and cone gates by variable index) whose table equals
+    its own or its complement, in the matching phase.
+    """
+    aig = model.aig
+    roots = ([latch.next for latch in aig.latches]
+             + [aig.bad[model.property_index]] + list(aig.constraints))
+    gates = {v for v in aig.fanin_cone(roots) if aig.is_and(v)}
+    inputs = sorted(aig.input_vars())
+    latch_vars = sorted(latch.var for latch in aig.latches)
+    leaves = inputs + latch_vars
+    width = 1 << len(leaves)
+    mask = (1 << width) - 1
+    words = {var: sum(1 << row for row in range(width) if row >> bit & 1)
+             for bit, var in enumerate(leaves)}
+    tables = simulate_comb(aig, {var: words[var] for var in inputs},
+                           {var: words[var] for var in latch_vars}, width)
+    earliest = {}
+    expected = {}
+    for var in [0] + sorted(set(leaves) | gates):
+        table = tables[var]
+        if table in earliest:
+            expected[var] = lit_from_var(earliest[table])
+        elif ~table & mask in earliest:
+            expected[var] = lit_negate(lit_from_var(earliest[~table & mask]))
+        else:
+            earliest[table] = var
+    return {var: lit for var, lit in expected.items() if var in gates}
+
+
+def _oracle_models():
+    for instance in _INSTANCES:
+        yield instance.name, instance.build()
+    for seed in range(1, 51):
+        yield f"fuzz_s{seed}", generate(seed)[0]
+
+
+def test_fraig_merges_match_exhaustive_oracle():
+    checked = 0
+    for name, model in _oracle_models():
+        pipelined = build_pipeline(_PRE_FRAIG).run(model).model
+        for candidate in (model, pipelined):
+            aig = candidate.aig
+            if aig.num_inputs + aig.num_latches > _ORACLE_LEAVES:
+                continue
+            assert (find_equivalences(candidate).merges
+                    == _oracle_merges(candidate)), name
+            checked += 1
+    # 30 raw models fit the limit (14 suite rows, 16 fuzz seeds) and 68
+    # pipelined ones; 67 of the 98 have merges.
+    assert checked >= 90, checked
+
+
 def test_fraig_identity_when_nothing_merges():
     model = get_instance("ring04").build()
     result = FraigPass().apply(model)
@@ -147,6 +236,7 @@ def test_fraig_counters_surface_in_engine_stats():
     assert result.stats.fraig_merges >= 4
     assert result.stats.fraig_sat_confirms >= result.stats.fraig_merges
     assert result.stats.fraig_classes > 0
+    assert result.stats.fraig_rounds > 0
     assert result.stats.fixpoint_groups_shed > 0
 
 
@@ -174,3 +264,5 @@ def test_pipeline_reports_fraig_pass_counters():
     assert pre.fraig_sat_confirms == pre.fraig_merges
     fraig_stats = next(s for s in pre.passes if s.name == "fraig")
     assert fraig_stats.extra["fraig_merges"] == pre.fraig_merges
+    assert fraig_stats.extra["fraig_sat_refutes"] == pre.fraig_sat_refutes
+    assert fraig_stats.extra["fraig_rounds"] == pre.fraig_rounds > 0

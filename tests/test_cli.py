@@ -156,6 +156,7 @@ def test_passes_flag_selects_the_pipeline(safe_aag, capsys):
     assert "pass" in out.lower()
     # The fraig counters surface in the stats block whenever the pass ran.
     assert "fraig_merges:" in out and "fraig_classes:" in out
+    assert "fraig_sat_refutes:" in out and "fraig_rounds:" in out
     # An empty list is valid: preprocessing runs zero passes.
     assert main([safe_aag, "--engine", "itpseq", "--passes", ""]) == 0
 
