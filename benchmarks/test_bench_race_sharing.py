@@ -17,13 +17,11 @@ What the numbers show (and the committed table records honestly):
   with far less duplicated search.
 * On deep PASS cells (the ring/arb family) the gains are real but small
   (single digits).  The winner there is standard interpolation at k=1,
-  and no sound import can shorten its fixpoint argument: seeding its
-  reached-set with a foreign R summary breaks the image-closure proof,
-  and certified bound jumps were measured to never certify for the
-  sequence engines (only the diagonal element of a bound's sequence
-  excludes failure-distance-0 states).  The original >= 25% target for
-  these cells is structurally out of reach for answer-sound sharing;
-  the no-harm bound is what is asserted there.
+  and no answer-preserving import can shorten its fixpoint argument:
+  foreign facts only ever reach the proof-free counterexample searcher.
+  The original >= 25% target for these cells is structurally out of
+  reach for answer-sound sharing; the no-harm bound is what is asserted
+  there.
 * Everywhere else sharing is at worst scheduling noise, bounded below by
   ``blind * 1.05 + 150`` (the absolute slack covers tiny cells where a
   single re-queued proof obligation is already several percent).
@@ -66,7 +64,7 @@ def test_race_sharing_artifact(save_artifact):
         blind = cooperative_race(instance.build(), options=options,
                                  share=False)
         coop = cooperative_race(instance.build(), options=options,
-                                share=True, aggressive=True)
+                                share=True)
 
         # Sharing must never change the answer: both races reach the
         # expected verdict for the cell.
@@ -115,13 +113,11 @@ notes:
     counterexample-search solves (the searcher never extends its
     unrolling past an imported depth fact).
   * Deep ring/arb PASS cells stay low single-digit: their winner is
-    standard interpolation at k=1 and no answer-sound import can shorten
-    its fixpoint proof (foreign R summaries cannot seed the reached set
-    without breaking the image-closure argument; certified bound jumps
-    never certify for sequence ladders).  The no-harm bound is the
-    asserted property there.
-  * PDR frame-clause import (share_pdr_import) is off in races: measured
-    net-harmful (pruned obligations re-queue at higher levels and the
-    pruning solves cost more than the skipped relative-induction
-    queries).  PDR still exports; the flag stays for soundness tests.
+    standard interpolation at k=1 and no answer-preserving import can
+    shorten its fixpoint proof (foreign facts only reach the proof-free
+    counterexample searcher).  The no-harm bound is the asserted
+    property there.
+  * One sharing contract: every engine's verdict and k_fp/j_fp equal its
+    solo run.  PDR and CBA export lemmas but import none (any foreign
+    clause would perturb their trajectories).
 """

@@ -3,13 +3,13 @@
 
 Run with:  python examples/cooperative_race.py
 
-A blind race recomputes everything N times: every refuted depth, every
-frame clause, every interpolant over-approximation is private to its
-worker.  The cooperative race publishes three kinds of typed facts over
-the share bus (``repro.share.lemma``) — "no counterexample up to depth
-d", level-tagged PDR frame clauses, accumulated-R interpolant summaries
-— and every engine imports what it can soundly use at its next
-bound/obligation boundary.
+A blind race recomputes everything N times: every refuted depth and
+every frame clause is private to its worker.  The cooperative race
+publishes two kinds of typed facts over the share bus
+(``repro.share.lemma``) — "no counterexample up to depth d" and
+level-tagged PDR frame clauses — and every engine's proof-free
+counterexample search imports them at its next bound boundary, so no
+engine's answer changes.
 
 This walkthrough uses the deterministic in-process runner
 (``repro.share.cooperative_race``): same engines and the same turnstile
@@ -80,8 +80,8 @@ def main() -> None:
         print(f"  ... {len(published) - 5} more")
 
     print("\nNotes:")
-    print(" * conservative sharing (the default outside races) is "
-          "answer-preserving by construction: verdict, k_fp and j_fp are "
+    print(" * sharing has one contract, answer-preserving by "
+          "construction: verdict, k_fp and j_fp are "
           "identical share-on vs share-off for every engine")
     print(" * the multi-process form is `python -m repro design.aag "
           "--engine portfolio --race --share [--share-log FILE]`; "

@@ -81,7 +81,7 @@ def main() -> None:
     frames.add_blocked_cube(cube, 1)
 
     # 4. Open F_2 and try to push.  The clause cannot move: state 1 (in
-    #    F_1) steps to 2, which the cube contains — the aggressive
+    #    F_1) steps to 2, which the cube contains — the coarse
     #    over-approximation near S0 is *not* inductive, so propagation
     #    correctly refuses to carry it forward.
     frames.add_level()

@@ -7,7 +7,7 @@ Examples::
     python -m repro design.aag --engine portfolio --stats
     python -m repro design.aag --engine portfolio --race --jobs 4
     python -m repro design.aag --engine portfolio --race --share --share-log lem.jsonl
-    python -m repro design.aag --engine pdr --share-replay lem.jsonl --share-aggressive
+    python -m repro design.aag --engine pdr --share-replay lem.jsonl
     python -m repro design.aag --no-preprocess --stats
     python -m repro design.aag --passes coi,fraig,cnf --stats
     python -m repro design.aag --engine itpseq --events trace.jsonl -v
@@ -78,8 +78,9 @@ def _build_parser() -> argparse.ArgumentParser:
                         default=False,
                         help="with --race: cooperative portfolio — workers "
                              "exchange lemmas (PDR frame clauses, "
-                             "interpolant R summaries, refuted-depth "
-                             "facts) over their result pipes")
+                             "refuted-depth facts) over their result "
+                             "pipes; imports only skip already-answered "
+                             "counterexample searches")
     parser.add_argument("--no-share", dest="share", action="store_false",
                         help="with --race: blind race (the default)")
     parser.add_argument("--share-log", default=None, metavar="FILE",
@@ -92,12 +93,6 @@ def _build_parser() -> argparse.ArgumentParser:
                              "foreign lemmas a recorded share log "
                              "delivered to it, regenerating its artefacts "
                              "deterministically (conflicts with --race)")
-    parser.add_argument("--share-aggressive", action="store_true",
-                        help="let imported lemmas change engines' search "
-                             "trajectories (bound jumps, PDR obligation "
-                             "pruning) instead of only skipping "
-                             "already-answered solves; sound, but k_fp/"
-                             "j_fp may differ from a solo run")
     parser.add_argument("--property", type=int, default=0, metavar="N",
                         help="index of the bad literal to check (default: 0)")
     parser.add_argument("--max-bound", type=int, default=30, metavar="K",
@@ -291,11 +286,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         print("error: --share-replay re-runs a single --engine and "
               "conflicts with --race/--share", file=sys.stderr)
         return 3
-    if args.share_aggressive and not (args.share or args.share_replay):
-        parser.print_usage(sys.stderr)
-        print("error: --share-aggressive requires --share or --share-replay",
-              file=sys.stderr)
-        return 3
 
     preprocess_passes = None
     if args.passes is not None:
@@ -323,8 +313,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                             proof_reduce=args.proof_reduce,
                             itp_compact=args.itp_compact,
                             fixpoint_incremental=args.fixpoint_incremental,
-                            group_proof=args.group_proof,
-                            share_aggressive=args.share_aggressive)
+                            group_proof=args.group_proof)
     tracer = None
     if args.events is not None and not args.race:
         from .obs.sinks import JsonlSink

@@ -30,7 +30,7 @@ from ..aig.ops import LiteralMapper
 from ..bmc.checks import BmcCheckKind, build_check
 from ..bmc.incremental import IncrementalUnroller
 from ..sat.types import SatResult
-from ..share.lemma import DepthLemma, Lemma
+from ..share.lemma import Lemma
 from .base import OutOfBudget, initial_states_predicate
 from .itpseq_engine import ItpSeqEngine
 from .result import VerificationResult
@@ -71,7 +71,7 @@ class ItpSeqCbaEngine(ItpSeqEngine):
         k = 0
         while k < self.options.max_bound:
             self._share_sync(k + 1)
-            k = self._share_advance(k + 1)
+            k += 1
             self._current_bound = k
             self._check_budget()
 
@@ -104,21 +104,15 @@ class ItpSeqCbaEngine(ItpSeqEngine):
     # Import policy
     # ------------------------------------------------------------------ #
     def _share_apply(self, lemma: Lemma) -> bool:
-        """CBA imports nothing conservatively, depth facts aggressively.
+        """CBA imports nothing.
 
         This engine never runs the base counterexample searcher: failures
         are found on the abstract model and concretised through the EXTEND
         unroller, whose refutations drive refinement choices.  Installing
         foreign clauses there would perturb UNSAT cores — and with them
-        which latches get refined — so the conservative mode (which must
-        reproduce the solo trajectory exactly) accepts nothing.  In
-        aggressive mode a foreign depth frontier only steers the outer
-        bound (the paper's loop never re-proves smaller bounds, so any
-        sound starting bound is admissible).
+        which latches get refined — so the conservative contract (which
+        must reproduce the solo trajectory exactly) accepts nothing.
         """
-        if isinstance(lemma, DepthLemma) and self.options.share_aggressive:
-            self._share_depth = max(self._share_depth, lemma.depth)
-            return True
         return False
 
     # ------------------------------------------------------------------ #

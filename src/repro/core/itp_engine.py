@@ -34,12 +34,6 @@ class ItpEngine(UmcEngine):
 
     name = "itp"
 
-    #: Standard interpolation converges fastest from *small* bounds (the
-    #: whole point of Fig. 1: k=1 often suffices, and the interpolant
-    #: refinement loop gets costlier as the unrolling grows) — jumping the
-    #: outer bound to a foreign frontier was measured to only ever hurt.
-    _share_jumps = False
-
     def _cex_check_kind(self) -> BmcCheckKind:
         """Fig. 1 requires bound-k checks; when the searcher doubles as the
         refutation check (group proof) it must unroll that formulation —
@@ -58,11 +52,9 @@ class ItpEngine(UmcEngine):
 
         k = 0
         while k < self.options.max_bound:
-            # Bound boundary: the replayable import point, and (in
-            # aggressive mode) where a foreign depth frontier can advance
-            # the next attempted bound.
+            # Bound boundary: the replayable import point.
             self._share_sync(k + 1)
-            k = self._share_advance(k + 1)
+            k += 1
             self._current_bound = k
             self._check_budget()
             with self._bound_span(k):
@@ -148,11 +140,7 @@ class ItpEngine(UmcEngine):
                 sat = self._solve(unroller.solver) is SatResult.SAT
             if sat:
                 # Spurious (the initial set is an over-approximation): retry
-                # with a longer unrolling.  ``reached`` = S₀ ∨ I₁ ∨ … ∨ Iⱼ
-                # over-approximates the states reachable within j steps
-                # (each interpolant is a one-step image over-approximation
-                # of its predecessor), so share it before abandoning it.
-                self._share_publish_reach(j, reached)
+                # with a longer unrolling.
                 return None
 
     # ------------------------------------------------------------------ #

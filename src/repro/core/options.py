@@ -21,6 +21,10 @@ __all__ = ["EngineOptions"]
 class EngineOptions:
     """Knobs shared by all engines (engine-specific ones are ignored by others).
 
+    Lemma sharing has no knob: an engine attached to a share port always
+    follows the one conservative contract of :mod:`repro.share`, so its
+    verdict and ``k_fp``/``j_fp`` equal a solo run with the same options.
+
     Attributes
     ----------
     max_bound:
@@ -131,32 +135,6 @@ class EngineOptions:
         attached (foreign clauses must never enter a proof).  On by
         default; disable with ``--no-group-proof`` to restore the
         two-solves-per-bound split.
-    share_aggressive:
-        When the engine is attached to a share bus, let foreign lemmas
-        change its *search trajectory*, not just skip already-answered
-        solves: sequence engines jump their outer bound past a foreign
-        depth frontier (bounds are independent iterations, so any sound
-        starting bound is admissible), and PDR discharges proof
-        obligations whose cube a foreign R summary excludes.  Sound, but
-        the reported ``k_fp``/``j_fp`` may legitimately differ from a
-        solo run, so it is off by default; the cooperative race turns it
-        on.  Ignored when no share port is attached.
-    share_pdr_import:
-        With aggressive sharing on, additionally let PDR *install* foreign
-        lemmas: frame cubes are blocked directly and R summaries prune
-        proof obligations.  Sound, and exercised by the soundness tests —
-        but measured a net loss on the bench family (the prune solves and
-        re-queued high-level obligations cost more than the discharged
-        relative-induction queries save), so the cooperative default
-        leaves PDR export-only.  Off by default.
-    pdr_cube_compact:
-        Normalise every generalized PDR cube through the structural
-        compactor (:func:`repro.itp.compact.compact_cube_literals`)
-        before it enters the frame sequence (duplicate literals merged,
-        complementary pairs dropped as vacuous).  The engine's own cubes
-        are already canonical dictionaries, so this is a cheap no-op
-        guard there; it matters for cubes arriving from foreign sources.
-        On by default.
     """
 
     max_bound: int = 30
@@ -179,9 +157,6 @@ class EngineOptions:
     itp_compact: bool = True
     fixpoint_incremental: bool = True
     group_proof: bool = True
-    share_aggressive: bool = False
-    share_pdr_import: bool = False
-    pdr_cube_compact: bool = True
 
     def with_changes(self, **kwargs) -> "EngineOptions":
         """Return a copy with some fields replaced."""

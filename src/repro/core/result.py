@@ -38,8 +38,7 @@ STAT_GROUPS: Dict[str, tuple] = {
                   "fixpoint_encodings_reused", "fixpoint_groups_shed",
                   "proof_group_solves_saved", "proof_chains_stripped",
                   "proof_group_fallbacks"),
-    "pdr": ("blocked_cubes", "clauses_pushed", "pdr_cubes_compacted",
-            "pdr_obligations_pruned"),
+    "pdr": ("blocked_cubes", "clauses_pushed"),
     "cba": ("refinements", "abstract_latches"),
     "share": ("lemmas_tx", "lemmas_rx", "lemmas_retracted",
               "share_solves_skipped"),
@@ -141,8 +140,6 @@ class EngineStats:
     proof_group_solves_saved: int = 0
     proof_chains_stripped: int = 0
     proof_group_fallbacks: int = 0
-    pdr_cubes_compacted: int = 0
-    pdr_obligations_pruned: int = 0
     lemmas_tx: int = 0
     lemmas_rx: int = 0
     lemmas_retracted: int = 0
@@ -179,8 +176,6 @@ class EngineStats:
             "proof_group_solves_saved": self.proof_group_solves_saved,
             "proof_chains_stripped": self.proof_chains_stripped,
             "proof_group_fallbacks": self.proof_group_fallbacks,
-            "pdr_cubes_compacted": self.pdr_cubes_compacted,
-            "pdr_obligations_pruned": self.pdr_obligations_pruned,
             "lemmas_tx": self.lemmas_tx,
             "lemmas_rx": self.lemmas_rx,
             "lemmas_retracted": self.lemmas_retracted,

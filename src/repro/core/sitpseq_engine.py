@@ -158,7 +158,7 @@ class SerialItpSeqEngine(ItpSeqEngine):
             # Same bound-boundary lemma exchange as the parallel engine
             # (see ItpSeqEngine._run).
             self._share_sync(k + 1)
-            k = self._share_advance(k + 1)
+            k += 1
             self._current_bound = k
             self._check_budget()
 

@@ -77,8 +77,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--share-race-every", type=int, default=0,
                         metavar="N",
                         help="every Nth seed also runs the cooperative "
-                             "shared race (aggressive lemma sharing, all "
-                             "six engines) on the base model and asserts "
+                             "shared race (all six engines exchanging "
+                             "lemmas) on the base model and asserts "
                              "the planted verdict (default: 0 = off)")
     parser.add_argument("--list-mutators", action="store_true",
                         help="list the registered mutators and exit")

@@ -101,8 +101,8 @@ class FuzzConfig:
     #: Where repro bundles are written (``None`` disables bundles).
     bundle_dir: Optional[str] = None
     #: Every Nth seed additionally runs the deterministic cooperative
-    #: shared race (:func:`repro.share.coop.cooperative_race`, aggressive
-    #: lemma sharing, all six engines) on the *base* model and asserts the
+    #: shared race (:func:`repro.share.coop.cooperative_race`, all six
+    #: engines exchanging lemmas) on the *base* model and asserts the
     #: planted verdict — and, on FAIL, the planted depth, since honest
     #: lemmas can only skip refuted bounds, never hide the first failing
     #: one.  ``0`` (the default) disables the mode; the nightly lane runs
@@ -319,8 +319,7 @@ def _run_share_race(base: Model, params: FuzzParams, config: FuzzConfig,
         options = EngineOptions(max_bound=config.max_bound,
                                 max_clauses=config.max_clauses,
                                 max_propagations=config.max_propagations)
-        outcome = cooperative_race(base, options=options, share=True,
-                                   aggressive=True)
+        outcome = cooperative_race(base, options=options, share=True)
     except Exception as exc:  # noqa: BLE001 - a crash is a finding
         problems.append(Problem(seed, "share-race", "race", "error",
                                 f"cooperative race crashed: "

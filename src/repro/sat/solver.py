@@ -103,8 +103,6 @@ class CdclSolver:
         self._var_inc = 1.0
         self._var_decay = 0.95
         self._phase: List[bool] = [False]
-        self._order_dirty = True
-        self._order: List[int] = []
 
         self._clause_inc = 1.0
         self._clause_decay = 0.999
@@ -146,7 +144,6 @@ class CdclSolver:
         self._phase.append(False)
         self._watches.append([])
         self._watches.append([])
-        self._order_dirty = True
         return self._num_vars
 
     def ensure_var(self, var: int) -> None:
@@ -786,7 +783,6 @@ class CdclSolver:
             var = abs(lit)
             self._assign[var] = _UNASSIGNED
             self._reason[var] = None
-            self._order_dirty = True
         del self._trail[limit:]
         del self._trail_lim[level:]
         self._queue_head = min(self._queue_head, len(self._trail))

@@ -9,13 +9,12 @@ deterministic and none of them costing a single SAT clause:
 2. **Syntax / initiation** — a :class:`FrameLemma` must name latch
    variables of the model and must exclude every initial state (a cube
    consistent with S₀ claims an initial state unreachable — instantly
-   false); a :class:`ReachLemma` must deserialize into a well-formed cone
-   over latch leaves.
+   false).
 3. **Simulation refutation** — a capped number of seeded bit-parallel
    simulation rounds from reset (:func:`repro.aig.simulate.random_stimulus_rounds`,
    64 lanes per round) actively tries to *refute* the lemma: a reachable
-   state inside a frame cube, a bad state at or below a claimed safe
-   depth, or a reachable state outside an R summary all reject the lemma.
+   state inside a frame cube or a bad state at or below a claimed safe
+   depth rejects the lemma.
 
 Rejection is cheap and silent by design: sharing is an optimisation, so a
 suspect lemma is simply not imported (the ``lemmas_retracted`` counter and
@@ -28,7 +27,7 @@ lemma that survives it can only flip the proof-free counterexample
 searcher from SAT to UNSAT, and every engine then runs its proof-logged
 check, whose SAT answer produces the genuine counterexample regardless
 (and triggers retraction of every foreign clause group — see
-:meth:`repro.core.base.UmcEngine._share_disagreement`).
+:meth:`repro.core.base.UmcEngine._share_check_disagreement`).
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ from typing import Dict, List, Optional
 
 from ..aig.model import Model
 from ..aig.simulate import lit_value, random_stimulus_rounds
-from .lemma import DepthLemma, FrameLemma, Lemma, ReachLemma
+from .lemma import DepthLemma, FrameLemma, Lemma
 
 __all__ = ["ImportValidator", "SIM_VALIDATION_STEPS", "SIM_VALIDATION_WIDTH"]
 
@@ -88,8 +87,6 @@ class ImportValidator:
             return self._check_depth(lemma)
         if isinstance(lemma, FrameLemma):
             return self._check_frame(lemma)
-        if isinstance(lemma, ReachLemma):
-            return self._check_reach(lemma)
         return f"unknown lemma type {type(lemma).__name__}"
 
     # ------------------------------------------------------------------ #
@@ -134,38 +131,3 @@ class ImportValidator:
                 return (f"cube simulated reachable at depth {time} "
                         f"<= {lemma.level}")
         return None
-
-    def _check_reach(self, lemma: ReachLemma) -> Optional[str]:
-        if lemma.bound < 0:
-            return "negative bound"
-        for var in lemma.leaves:
-            if var not in self._latch_vars:
-                return f"cone leaf {var} is not a latch variable"
-        limit = 1 + len(lemma.leaves)
-        for position, (a, b) in enumerate(lemma.nodes):
-            if a // 2 >= limit + position or b // 2 >= limit + position:
-                return "cone node references a later node"
-        if lemma.root // 2 >= limit + len(lemma.nodes):
-            return "cone root out of range"
-        # R must contain every state reachable within the bound: all lanes
-        # of every simulated round at times <= bound must satisfy it.
-        horizon = min(lemma.bound, self.steps)
-        for time, values in enumerate(self.rounds[:horizon + 1]):
-            if self._eval_cone(lemma, values) != self._mask:
-                return (f"reachable state at depth {time} <= {lemma.bound} "
-                        f"falls outside R")
-        return None
-
-    def _eval_cone(self, lemma: ReachLemma, values: Dict[int, int]) -> int:
-        mask = self._mask
-        words: List[int] = [0]
-        for leaf in lemma.leaves:
-            words.append(values[leaf] & mask)
-
-        def word_of(local: int) -> int:
-            word = words[local // 2]
-            return (~word & mask) if local % 2 else word
-
-        for a, b in lemma.nodes:
-            words.append(word_of(a) & word_of(b))
-        return word_of(lemma.root)

@@ -30,6 +30,8 @@ The blind baseline is the same runner over a
 :class:`~repro.share.bus.LocalShareBus` with ``deliver=False``: identical
 sync cadence and turn schedule, zero lemma traffic.  Cooperative-vs-blind
 clause comparisons therefore isolate the effect of the lemmas themselves.
+Imports follow the one conservative contract (:mod:`repro.share`), so a
+lemma can save an engine searcher solves but never change its answer.
 """
 
 from __future__ import annotations
@@ -182,17 +184,15 @@ class CoopOutcome:
 # --------------------------------------------------------------------- #
 def cooperative_race(model, engine_names: Optional[List[str]] = None,
                      options=None, share: bool = True,
-                     aggressive: bool = True,
                      log_path: Optional[str] = None,
                      first_result_wins: bool = True) -> CoopOutcome:
     """Race engines in-process with deterministic cooperative scheduling.
 
     ``engine_names`` defaults to the full portfolio registry plus
     ``"bmc"``; ``share=False`` runs the blind baseline (same schedule,
-    no lemma traffic); ``aggressive`` lets imports change trajectories
-    (``EngineOptions.share_aggressive``) — the cooperative default, since
-    a race reports whichever sound answer arrives first; ``log_path``
-    records the replayable share log.
+    no lemma traffic); ``log_path`` records the replayable share log.
+    Sharing follows the conservative contract (:mod:`repro.share`): every
+    engine's verdict and ``k_fp``/``j_fp`` equal its solo run.
     """
     # Deferred imports: repro.core.base imports this package at module
     # level, so importing repro.core here at import time would cycle.
@@ -208,8 +208,6 @@ def cooperative_race(model, engine_names: Optional[List[str]] = None,
         raise ValueError(f"unknown engines for cooperative race: {unknown}")
     if options is None:
         options = EngineOptions()
-    if share and aggressive and not options.share_aggressive:
-        options = options.with_changes(share_aggressive=True)
 
     log = ShareLog(log_path) if log_path is not None else None
     bus = LocalShareBus(log=log, deliver=share)

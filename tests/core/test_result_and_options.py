@@ -44,6 +44,15 @@ def test_options_with_changes_returns_copy():
     assert options.alpha_s == 0.5
 
 
+def test_options_have_no_sharing_mode_knobs():
+    # Sharing follows one conservative contract; the retired aggressive
+    # mode's fields must not be silently accepted.
+    for retired in ("share_aggressive", "share_pdr_import",
+                    "pdr_cube_compact"):
+        with pytest.raises(TypeError):
+            EngineOptions(**{retired: True})
+
+
 def test_result_properties_and_depth_pair():
     result = VerificationResult(verdict=Verdict.PASS, engine="itp", model_name="m",
                                 k_fp=3, j_fp=2)

@@ -1,9 +1,8 @@
 """Import-side lemma validation: honest lemmas pass, malicious ones fail."""
 
-from repro.aig.aig import TRUE
 from repro.circuits import get_instance, token_ring
 from repro.share.adapt import ImportValidator
-from repro.share.lemma import DepthLemma, FrameLemma, ReachLemma, serialize_cone
+from repro.share.lemma import DepthLemma, FrameLemma
 
 
 def _validator(model):
@@ -55,29 +54,6 @@ def test_frame_lemma_checks():
     two_tokens = FrameLemma(
         cube=((latches[1], True), (latches[2], True)), level=6)
     assert validator.reject_reason(two_tokens) is None
-
-
-def test_reach_lemma_checks():
-    model = token_ring(4)
-    validator = _validator(model)
-
-    # R = TRUE trivially contains every reachable state.
-    leaves, nodes, root = serialize_cone(model.aig, TRUE)
-    assert validator.reject_reason(
-        ReachLemma(bound=5, leaves=leaves, nodes=nodes, root=root)) is None
-
-    # R = FALSE excludes the initial state itself.
-    reason = validator.reject_reason(
-        ReachLemma(bound=5, leaves=(), nodes=(), root=0))
-    assert reason is not None and "outside R" in reason
-
-    # Structural junk: leaves must be latches, operands must look backward.
-    assert validator.reject_reason(
-        ReachLemma(bound=1, leaves=(99999,), nodes=(), root=2)) is not None
-    assert validator.reject_reason(
-        ReachLemma(bound=1, leaves=(), nodes=((4, 4),), root=2)) is not None
-    assert validator.reject_reason(
-        ReachLemma(bound=1, leaves=(), nodes=(), root=999)) is not None
 
 
 def test_validation_is_deterministic():

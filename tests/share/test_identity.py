@@ -3,7 +3,7 @@
 Three legs per instance, for every engine in the portfolio plus bmc:
 
 * **solo** — the engine runs exactly as before sharing existed;
-* **cooperative** — a conservative (``aggressive=False``) run-all race,
+* **cooperative** — a run-all race under the (only) conservative contract,
   where foreign lemmas may skip proof-free counterexample searches but
   never touch a proof-logged solve;
 * **replay** — each engine re-run alone against the race's share log
@@ -81,7 +81,7 @@ def test_conservative_share_identity(name, tmp_path):
     instance = _INSTANCES[name]
     log_path = tmp_path / "share.jsonl"
     outcome = cooperative_race(instance.build(), options=_options(),
-                               aggressive=False, first_result_wins=False,
+                               first_result_wins=False,
                                log_path=str(log_path))
     bus = ReplayShareBus(read_share_log(str(log_path)))
     for engine in ALL_ENGINES:

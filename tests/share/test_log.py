@@ -1,6 +1,11 @@
 """The replayable share log: round-trips and torn-line tolerance."""
 
-from repro.share.lemma import DepthLemma, FrameLemma
+import hashlib
+import json
+
+import pytest
+
+from repro.share.lemma import DepthLemma, FrameLemma, lemma_from_wire
 from repro.share.log import ShareLog, read_share_log
 
 
@@ -55,6 +60,31 @@ def test_share_log_skips_junk_and_corrupted_records(tmp_path):
     data = read_share_log(str(path))
     assert 7 not in data.published
     assert [s.seq for s in data.deliveries("itp", 5)] == [1]
+
+
+def test_share_log_skips_retired_reach_records(tmp_path):
+    # Logs written before the accumulated-R ("reach") lemma kind was
+    # retired still replay: that record is skipped, every other kept.
+    reach = {"kind": "reach", "bound": 2, "leaves": [2], "nodes": [],
+             "root": 2}
+    with pytest.raises(ValueError):
+        lemma_from_wire(reach)
+    # The record as the old writer produced it, content hash included, so
+    # it is the retired kind — not a corrupted payload — that drops it.
+    payload = json.dumps(reach, sort_keys=True, separators=(",", ":"))
+    digest = hashlib.sha256(payload.encode("ascii")).hexdigest()[:16]
+    path = tmp_path / "share.jsonl"
+    _write_sample(path)
+    with open(path, "a", encoding="utf-8") as handle:
+        handle.write(json.dumps({"t": "pub", "seq": 2, "src": "itp",
+                                 "lemma": reach, "hash": digest}) + "\n")
+        handle.write('{"t":"acc","eng":"pdr","bnd":4,"seqs":[2,0]}\n')
+    data = read_share_log(str(path))
+    assert data.fingerprint == "cafe0123cafe0123"
+    assert sorted(data.published) == [0, 1]
+    assert [s.seq for s in data.deliveries("itp", 2)] == [0]
+    assert [s.seq for s in data.deliveries("pdr", 3)] == [1]
+    assert [s.seq for s in data.deliveries("pdr", 4)] == [0]
 
 
 def test_share_log_missing_file_is_empty():

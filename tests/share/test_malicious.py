@@ -8,6 +8,8 @@ check finds the genuine counterexample anyway and
 ``_share_check_disagreement`` retracts every import wholesale.
 """
 
+import pytest
+
 from repro.circuits import get_instance
 from repro.core import EngineOptions
 from repro.core.portfolio import ENGINES, run_engine
@@ -37,35 +39,30 @@ def _poisoned_engine(name, model, options):
     return engine
 
 
-def test_malicious_depth_lemma_conservative_verdict_survives():
-    instance = get_instance("red_dead08bug")
-    solo = run_engine("itpseq", instance.build(), options=_options())
-    assert (solo.verdict.value, solo.k_fp) == ("fail", 5)
+#: Engines whose counterexample searcher takes foreign lemmas; PDR and CBA
+#: import nothing under the conservative contract.
+_IMPORTERS = {"itp", "itpseq", "sitpseq"}
 
-    engine = _poisoned_engine("itpseq", instance.build(), _options())
+
+@pytest.mark.parametrize("name", sorted(ENGINES))
+def test_malicious_lemmas_leave_every_engine_at_its_solo_answer(name):
+    instance = get_instance("red_dead08bug")
+    solo = run_engine(name, instance.build(), options=_options())
+    assert solo.verdict.value == "fail"
+
+    engine = _poisoned_engine(name, instance.build(), _options())
     result = engine.run()
-    # The lie silenced the searcher at bounds <= 10, but the proof-logged
-    # check (which never saw it) produced the genuine counterexample.
-    assert (result.verdict.value, result.k_fp) == ("fail", 5)
-    assert result.stats.lemmas_rx >= 2  # both lies were accepted...
-    assert result.stats.lemmas_retracted >= 2  # ...and retracted wholesale
-    assert engine._share_distrust
-
-
-def test_malicious_depth_lemma_aggressive_never_passes():
-    # Aggressive mode may jump past the counterexample depth on a lie, so
-    # the failure can surface later (or not at all within the budget) —
-    # but a wrong PASS is impossible: the contiguity gate blocks fixpoint
-    # claims at jumped-over columns.
-    instance = get_instance("red_dead08bug")
-    for name in sorted(ENGINES):
-        # share_pdr_import opens PDR's frame-blocking/obligation-pruning
-        # import path, so the lies reach every engine's most trusting mode.
-        engine = _poisoned_engine(
-            name, instance.build(),
-            _options(share_aggressive=True, share_pdr_import=True))
-        result = engine.run()
-        assert result.verdict.value != "pass", (name, result.message)
+    # The lie may silence a searcher at bounds <= 10, but the proof-logged
+    # check (which never saw it) produces the genuine counterexample at
+    # the solo depth.
+    assert (result.verdict.value, result.k_fp) == (solo.verdict.value,
+                                                   solo.k_fp)
+    if name in _IMPORTERS:
+        assert result.stats.lemmas_rx >= 2  # both lies were accepted...
+        assert result.stats.lemmas_retracted >= 2  # ...and retracted
+        assert engine._share_distrust
+    else:
+        assert result.stats.lemmas_rx == 0
 
 
 def test_malicious_lemmas_rejected_with_validator_on():

@@ -279,9 +279,12 @@ def test_share_flag_combinations_are_validated(safe_aag, tmp_path, capsys):
     assert main([safe_aag, "--engine", "portfolio", "--race", "--share",
                  "--share-replay", log]) == 3
     assert "conflicts" in capsys.readouterr().err
-    assert main([safe_aag, "--engine", "itpseq",
-                 "--share-aggressive"]) == 3
-    assert "requires --share" in capsys.readouterr().err
+    # The retired trajectory-changing sharing mode is an unknown flag now.
+    with pytest.raises(SystemExit) as info:
+        main([safe_aag, "--engine", "itpseq", "--share", "--race",
+              "--share-aggressive"])
+    assert info.value.code == 3
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_shared_race_records_replayable_log(safe_aag, tmp_path, capsys):
