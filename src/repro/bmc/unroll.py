@@ -51,7 +51,6 @@ class Unroller:
         self.model = model
         self.solver = solver
         self._frames: List[_Frame] = []
-        self._current_partition: Optional[int] = None
 
     # ------------------------------------------------------------------ #
     # Frame and variable management
@@ -65,8 +64,7 @@ class Unroller:
                 frame.latch_vars[var] = self.solver.new_var()
             for var in self.model.input_vars:
                 frame.input_vars[var] = self.solver.new_var()
-            frame.encoder = TseitinEncoder(
-                aig, self.solver.new_var, self._emit, allocate_leaves=False)
+            frame.encoder = TseitinEncoder(aig, self.solver, allocate_leaves=False)
             for var, cnf_var in frame.latch_vars.items():
                 frame.encoder.declare_leaf(var, cnf_var)
             for var, cnf_var in frame.input_vars.items():
@@ -95,18 +93,12 @@ class Unroller:
         return {cnf_var: lit_from_var(latch_var)
                 for latch_var, cnf_var in self.frame(frame).latch_vars.items()}
 
-    def _emit(self, clause: List[int]) -> None:
-        self.solver.add_clause(clause, partition=self._current_partition)
-
     def _encode(self, frame: int, aig_lit: int, partition: Optional[int]) -> int:
         """Encode an AIG literal's cone at a frame; return the DIMACS literal."""
-        self._current_partition = partition
-        try:
-            encoder = self.frame(frame).encoder
-            assert encoder is not None
-            return encoder.literal(aig_lit)
-        finally:
-            self._current_partition = None
+        encoder = self.frame(frame).encoder
+        assert encoder is not None
+        encoder.partition = partition
+        return encoder.literal(aig_lit)
 
     def _add_clause(self, clause: Sequence[int], partition: Optional[int]) -> None:
         self.solver.add_clause(list(clause), partition=partition)
@@ -144,7 +136,6 @@ class Unroller:
         which asserts each frame's constraints exactly once on arrival rather
         than together with the outgoing transition.
         """
-        frame = self.frame(from_frame)
         next_frame = self.frame(from_frame + 1)
         for latch in self.model.latches:
             next_lit = self._encode(from_frame, latch.next, partition)
@@ -155,7 +146,6 @@ class Unroller:
             for constraint in self.model.constraints:
                 lit = self._encode(from_frame, constraint, partition)
                 self._add_clause([lit], partition)
-        _ = frame
 
     def bad_literal(self, frame: int, partition: int) -> int:
         """Encode (without asserting) the bad literal at a frame."""

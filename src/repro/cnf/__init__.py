@@ -7,7 +7,7 @@ the model-preprocessing pipeline, not part of the encoding substrate.
 
 from .cnf import Clause, Cnf, neg, var_of
 from .dimacs import DimacsError, dumps_dimacs, loads_dimacs, read_dimacs, write_dimacs
-from .tseitin import ClauseSink, TseitinEncoder, encode_combinational
+from .tseitin import TseitinEncoder, encode_combinational
 
 __all__ = [
     "Clause",
@@ -19,7 +19,6 @@ __all__ = [
     "loads_dimacs",
     "read_dimacs",
     "write_dimacs",
-    "ClauseSink",
     "TseitinEncoder",
     "encode_combinational",
 ]

@@ -23,6 +23,11 @@ def var_of(lit: int) -> int:
     return abs(lit)
 
 
+def _literal_order(lit: int) -> Tuple[int, bool]:
+    """Clause literal order: by variable, the positive literal first."""
+    return abs(lit), lit < 0
+
+
 class Clause:
     """An immutable disjunction of DIMACS literals.
 
@@ -35,13 +40,28 @@ class Clause:
     __slots__ = ("literals", "is_tautology")
 
     def __init__(self, literals: Iterable[int]) -> None:
-        unique = sorted(set(literals), key=lambda l: (abs(l), l < 0))
-        for lit in unique:
-            if lit == 0:
-                raise ValueError("0 is not a valid DIMACS literal")
-        variables = [abs(l) for l in unique]
+        unique = sorted(set(literals), key=abs)
+        if unique and unique[0] == 0:
+            raise ValueError("0 is not a valid DIMACS literal")
+        is_tautology = len(set(map(abs, unique))) != len(unique)
+        if is_tautology:
+            # ``key=abs`` leaves the order of ``v`` and ``-v`` to the set;
+            # put the positive literal first.
+            unique.sort(key=_literal_order)
         self.literals: Tuple[int, ...] = tuple(unique)
-        self.is_tautology: bool = len(set(variables)) != len(variables)
+        self.is_tautology: bool = is_tautology
+
+    @classmethod
+    def _of_distinct(cls, literals: Sequence[int]) -> "Clause":
+        """Build a clause whose literals are known to be on distinct variables.
+
+        Skips the deduplication, 0 and tautology checks of the public
+        constructor; the solver uses it for AND-gate definitions.
+        """
+        clause = cls.__new__(cls)
+        clause.literals = tuple(sorted(literals, key=abs))
+        clause.is_tautology = False
+        return clause
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.literals)
@@ -100,13 +120,30 @@ class Cnf:
         self.num_vars += 1
         return self.num_vars
 
-    def add_clause(self, literals: Iterable[int]) -> Clause:
-        """Add a clause (given as any iterable of DIMACS literals)."""
+    def add_clause(self, literals: Iterable[int],
+                   partition: Optional[int] = None,
+                   group: Optional[int] = None) -> Clause:
+        """Add a clause (given as any iterable of DIMACS literals).
+
+        ``partition`` and ``group`` exist so a :class:`Cnf` can stand in for
+        a solver as a Tseitin target; a container has no labels, so anything
+        but ``None`` is rejected rather than dropped.
+        """
+        _reject_labels(partition, group)
         clause = literals if isinstance(literals, Clause) else Clause(literals)
         for lit in clause:
             self.num_vars = max(self.num_vars, abs(lit))
         self.clauses.append(clause)
         return clause
+
+    def define_and(self, out: int, left: int, right: int,
+                   partition: Optional[int] = None,
+                   group: Optional[int] = None) -> None:
+        """Add the three Tseitin clauses of ``out <-> left & right``."""
+        _reject_labels(partition, group)
+        self.add_clause([-out, left])
+        self.add_clause([-out, right])
+        self.add_clause([out, -left, -right])
 
     def extend(self, clauses: Iterable[Sequence[int]]) -> None:
         for clause in clauses:
@@ -136,3 +173,8 @@ class Cnf:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"Cnf(vars={self.num_vars}, clauses={len(self.clauses)})"
+
+
+def _reject_labels(partition: Optional[int], group: Optional[int]) -> None:
+    if partition is not None or group is not None:
+        raise ValueError("a Cnf container carries no partition or group labels")

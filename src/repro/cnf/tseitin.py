@@ -14,23 +14,28 @@ depending on the policy selected by the caller — the BMC unroller assigns
 frame-specific variables, while the combinational checker lets the encoder
 allocate freely.
 
-Clauses are emitted through a *sink* callback, so they can be routed either
-into a :class:`~repro.cnf.cnf.Cnf` container or straight into the
-incremental SAT solver, optionally tagged with a partition label (the
-mechanism the interpolation machinery relies on).
+The encoding goes straight into a *target*: the incremental SAT solver
+(:class:`~repro.sat.solver.CdclSolver`) or a
+:class:`~repro.cnf.cnf.Cnf` container.  Both offer ``new_var``,
+``add_clause`` and ``define_and``; every AND gate costs one
+``define_and(out, left, right, partition, group)`` call, and the constant's
+unit clause one ``add_clause``.  The encoder's :attr:`TseitinEncoder.partition`
+and :attr:`TseitinEncoder.group` label what it emits — the partition is the
+mechanism the interpolation machinery relies on, the group the one the
+fixpoint checker retracts clauses with — and a container rejects any label.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from ..aig.aig import FALSE, TRUE, Aig, lit_negate, lit_sign, lit_var
+from ..aig.aig import Aig
 from .cnf import Cnf
 
-__all__ = ["ClauseSink", "TseitinEncoder", "encode_combinational"]
+if TYPE_CHECKING:  # pragma: no cover - import for annotations only
+    from ..sat.solver import CdclSolver
 
-#: A clause sink receives one clause (list of DIMACS literals) per call.
-ClauseSink = Callable[[List[int]], None]
+__all__ = ["TseitinEncoder", "encode_combinational"]
 
 
 class TseitinEncoder:
@@ -40,32 +45,35 @@ class TseitinEncoder:
     ----------
     aig:
         The circuit to encode.
-    new_var:
-        Callable allocating fresh CNF variables (e.g. ``cnf.new_var`` or
-        ``solver.new_var``).
-    sink:
-        Callable receiving each emitted clause.
+    target:
+        The :class:`~repro.sat.solver.CdclSolver` or
+        :class:`~repro.cnf.cnf.Cnf` that receives the encoding: its
+        ``new_var`` allocates CNF variables, its ``define_and`` takes each
+        gate and its ``add_clause`` the constant's unit clause.
     allocate_leaves:
         When ``True`` missing leaf variables are allocated on demand; when
         ``False`` encoding a cone whose leaves were not declared raises
         ``KeyError`` (the safe default for time-frame encodings).
     """
 
-    #: CNF variable reserved for the constant node.  A unit clause pinning it
-    #: to false is emitted lazily the first time the constant is referenced.
     def __init__(
         self,
         aig: Aig,
-        new_var: Callable[[], int],
-        sink: ClauseSink,
+        target: Union["CdclSolver", Cnf],
         allocate_leaves: bool = True,
     ) -> None:
         self.aig = aig
-        self._new_var = new_var
-        self._sink = sink
+        self.target = target
         self._allocate_leaves = allocate_leaves
         self._var_map: Dict[int, int] = {}
+        #: CNF variable reserved for the constant node.  A unit clause
+        #: pinning it to false is emitted lazily the first time the constant
+        #: is referenced.
         self._const_var: Optional[int] = None
+        #: Partition label and clause group of everything emitted from now
+        #: on (the caller sets them; ``None`` means unlabelled/ungrouped).
+        self.partition: Optional[int] = None
+        self.group: Optional[int] = None
         #: Optional observer invoked with the AIG variable each time an AND
         #: gate receives its CNF variable (i.e. its definitional clauses are
         #: emitted).  The fixpoint checker uses it to record which gates a
@@ -113,80 +121,81 @@ class TseitinEncoder:
 
     def _const_false_var(self) -> int:
         if self._const_var is None:
-            self._const_var = self._new_var()
+            self._const_var = self.target.new_var()
             # Variable is forced false: the positive AIG literal 0 is FALSE.
-            self._sink([-self._const_var])
+            self.target.add_clause([-self._const_var], self.partition,
+                                   self.group)
         return self._const_var
+
+    def _leaf_var(self, aig_var: int) -> int:
+        """Allocate the CNF variable of an undeclared input/latch."""
+        kind = self.aig.node_kind(aig_var)
+        if not self._allocate_leaves:
+            raise KeyError(
+                f"leaf variable {aig_var} ({kind}) has no CNF variable assigned")
+        cnf_var = self.target.new_var()
+        self._var_map[aig_var] = cnf_var
+        return cnf_var
 
     # ------------------------------------------------------------------ #
     # Encoding
     # ------------------------------------------------------------------ #
     def literal(self, aig_lit: int) -> int:
         """Encode (if needed) and return the DIMACS literal for an AIG literal."""
-        var = lit_var(aig_lit)
+        var = aig_lit >> 1
         if var == 0:
             cnf_var = self._const_false_var()
         else:
-            cnf_var = self._encode_var(var)
-        return -cnf_var if lit_sign(aig_lit) else cnf_var
+            cnf_var = self._var_map.get(var)
+            if cnf_var is None:
+                cnf_var = self._encode_var(var)
+        return -cnf_var if aig_lit & 1 else cnf_var
 
     def encode_roots(self, roots: Iterable[int]) -> List[int]:
         """Encode the cones of several AIG literals; return DIMACS literals."""
         return [self.literal(root) for root in roots]
 
     def _encode_var(self, aig_var: int) -> int:
-        cached = self._var_map.get(aig_var)
-        if cached is not None:
-            return cached
-        kind = self.aig.node_kind(aig_var)
-        if kind != "and":
-            if not self._allocate_leaves:
-                raise KeyError(
-                    f"leaf variable {aig_var} ({kind}) has no CNF variable assigned")
-            cnf_var = self._new_var()
-            self._var_map[aig_var] = cnf_var
-            return cnf_var
+        """Encode the cone of an AIG variable that has no CNF variable yet."""
+        aig = self.aig
+        if not aig.is_and(aig_var):
+            return self._leaf_var(aig_var)
 
         # Iterative topological encoding of the AND cone rooted at aig_var.
+        # ``Aig.add_and`` folds constant, equal and opposite fanins, so a
+        # gate's two fanins are distinct non-constant variables.
+        var_map = self._var_map
+        new_var = self.target.new_var
+        define_and = self.target.define_and
+        partition, group = self.partition, self.group
         stack = [aig_var]
         while stack:
             var = stack[-1]
-            if var in self._var_map:
+            if var in var_map:
                 stack.pop()
                 continue
-            gate = self.aig.and_gate(var)
-            fanins = [lit_var(gate.left), lit_var(gate.right)]
-            pending = []
-            for u in fanins:
-                if u == 0 or u in self._var_map:
-                    continue
-                if self.aig.node_kind(u) != "and":
-                    if not self._allocate_leaves:
-                        raise KeyError(
-                            f"leaf variable {u} ({self.aig.node_kind(u)}) has no CNF "
-                            "variable assigned")
-                    self._var_map[u] = self._new_var()
-                else:
-                    pending.append(u)
+            gate = aig.and_gate(var)
+            left, right = gate.left, gate.right
+            pending = False
+            for fanin in (left >> 1, right >> 1):
+                if fanin not in var_map:
+                    if aig.is_and(fanin):
+                        stack.append(fanin)
+                        pending = True
+                    else:
+                        self._leaf_var(fanin)
             if pending:
-                stack.extend(pending)
                 continue
-            out = self._new_var()
-            self._var_map[var] = out
+            out = new_var()
+            var_map[var] = out
             if self.on_gate is not None:
                 self.on_gate(var)
-            left = self._lit_shallow(gate.left)
-            right = self._lit_shallow(gate.right)
-            self._sink([-out, left])
-            self._sink([-out, right])
-            self._sink([out, -left, -right])
+            left_lit = var_map[left >> 1]
+            right_lit = var_map[right >> 1]
+            define_and(out, -left_lit if left & 1 else left_lit,
+                       -right_lit if right & 1 else right_lit, partition, group)
             stack.pop()
-        return self._var_map[aig_var]
-
-    def _lit_shallow(self, aig_lit: int) -> int:
-        var = lit_var(aig_lit)
-        cnf_var = self._const_false_var() if var == 0 else self._var_map[var]
-        return -cnf_var if lit_sign(aig_lit) else cnf_var
+        return var_map[aig_var]
 
 
 def encode_combinational(
@@ -200,7 +209,6 @@ def encode_combinational(
     (equivalence, containment) and for the test-suite.
     """
     cnf = Cnf()
-    encoder = TseitinEncoder(aig, cnf.new_var, lambda cl: cnf.add_clause(cl),
-                             allocate_leaves=True)
+    encoder = TseitinEncoder(aig, cnf, allocate_leaves=True)
     root_lits = encoder.encode_roots(roots)
     return cnf, root_lits, encoder.var_map()

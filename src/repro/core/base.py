@@ -159,8 +159,7 @@ def implies(aig: Aig, antecedent: int, consequent: int,
             cnf_simplify = None
     if cnf_simplify is not None:
         cnf = Cnf()
-        encoder = TseitinEncoder(aig, cnf.new_var, cnf.add_clause,
-                                 allocate_leaves=True)
+        encoder = TseitinEncoder(aig, cnf, allocate_leaves=True)
         a_lit = encoder.literal(antecedent)
         c_lit = encoder.literal(consequent)
         cnf.add_clause([a_lit])
@@ -185,9 +184,7 @@ def implies(aig: Aig, antecedent: int, consequent: int,
             solver.add_clause(list(clause.literals))
     else:
         solver = CdclSolver()
-        encoder = TseitinEncoder(aig, solver.new_var,
-                                 lambda clause: solver.add_clause(clause),
-                                 allocate_leaves=True)
+        encoder = TseitinEncoder(aig, solver, allocate_leaves=True)
         a_lit = encoder.literal(antecedent)
         c_lit = encoder.literal(consequent)
         solver.add_clause([a_lit])

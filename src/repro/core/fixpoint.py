@@ -79,15 +79,12 @@ class FixpointChecker:
     def __init__(self, aig: Aig) -> None:
         self.aig = aig
         self.solver = CdclSolver()
-        self._encoder = TseitinEncoder(aig, self.solver.new_var,
-                                       self._sink, allocate_leaves=True)
+        self._encoder = TseitinEncoder(aig, self.solver, allocate_leaves=True)
         self._encoder.on_gate = self._on_gate
         self._groups: List[int] = []
         #: group id -> the AND variables whose definitional clauses it owns
         #: (leaves are never group-owned; see the module docstring).
         self._group_vars: Dict[int, List[int]] = {}
-        self._group: Optional[int] = None
-        self._group_used = False
         #: Cumulative count of AND-gate encodings served from the cache —
         #: cone clauses a throwaway-solver check would have re-emitted.
         self.encodings_reused = 0
@@ -101,13 +98,10 @@ class FixpointChecker:
         # later solve.
         self._encoder.literal(0)
 
-    def _sink(self, clause) -> None:
-        self._group_used = True
-        self.solver.add_clause(clause, group=self._group)
-
     def _on_gate(self, aig_var: int) -> None:
-        if self._group is not None:
-            self._group_vars[self._group].append(aig_var)
+        group = self._encoder.group
+        if group is not None:
+            self._group_vars[group].append(aig_var)
 
     def implies(self, antecedent: int, consequent: int,
                 budget: Optional[Budget] = None) -> SatResult:
@@ -143,13 +137,15 @@ class FixpointChecker:
     def _encode_grouped(self, root: int) -> int:
         """Encode one root's missing cone clauses under a fresh group."""
         group = self.solver.new_group()
-        self._group, self._group_used = group, False
-        self._group_vars[group] = []
+        owned = self._group_vars[group] = []
+        self._encoder.group = group
         try:
             lit = self._encoder.literal(root)
         finally:
-            self._group = None
-        if self._group_used:
+            self._encoder.group = None
+        # The constant is pinned outside every group, so the group received
+        # clauses exactly when it came to own a gate.
+        if owned:
             self._groups.append(group)
         else:
             # Nothing new was encoded: drop the unused group rather than

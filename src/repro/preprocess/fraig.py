@@ -155,9 +155,7 @@ def find_equivalences(model: Model,
             append_round(values, config.width)
 
     solver = CdclSolver()
-    encoder = TseitinEncoder(aig, solver.new_var,
-                             lambda clause: solver.add_clause(clause),
-                             allocate_leaves=True)
+    encoder = TseitinEncoder(aig, solver, allocate_leaves=True)
     abandoned: Set[Tuple[int, int]] = set()
     leaves = inputs + latch_vars
     cex_width = min(config.width, len(leaves) + 1)

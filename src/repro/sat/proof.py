@@ -41,7 +41,7 @@ the formula — so a core that touches one is rejected with
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..cnf.cnf import Clause
@@ -68,7 +68,6 @@ class ActivationDependencyError(ProofError):
     """
 
 
-@dataclass
 class ProofNode:
     """One clause in the proof DAG.
 
@@ -76,18 +75,30 @@ class ProofNode:
     lists the resolution steps: the derivation starts from clause
     ``chain[0][1]`` (whose pivot entry is ``None``) and successively resolves
     with ``chain[i][1]`` on pivot variable ``chain[i][0]``.
+
+    ``partition`` is the partition label of an original clause (``None``
+    for derived clauses).  ``group`` is the activation group of an original
+    clause (``None`` for ungrouped clauses and for derived clauses); derived
+    clauses need no explicit tag, since their group provenance is the
+    presence of ``-g`` among their literals (see the module docstring).
     """
 
-    clause_id: int
-    clause: Clause
-    chain: List[Tuple[Optional[int], int]] = field(default_factory=list)
-    #: Partition label for original clauses (``None`` for derived clauses).
-    partition: Optional[int] = None
-    #: Activation group of an original clause (``None`` for ungrouped
-    #: clauses and for derived clauses).  Derived clauses need no explicit
-    #: tag: their group provenance is the presence of ``-g`` among their
-    #: literals (see the module docstring).
-    group: Optional[int] = None
+    __slots__ = ("clause_id", "clause", "chain", "partition", "group")
+
+    def __init__(self, clause_id: int, clause: Clause,
+                 chain: Optional[List[Tuple[Optional[int], int]]] = None,
+                 partition: Optional[int] = None,
+                 group: Optional[int] = None) -> None:
+        self.clause_id = clause_id
+        self.clause = clause
+        self.chain: List[Tuple[Optional[int], int]] = [] if chain is None else chain
+        self.partition = partition
+        self.group = group
+
+    def __repr__(self) -> str:
+        return (f"ProofNode(clause_id={self.clause_id}, clause={self.clause!r}, "
+                f"chain={self.chain!r}, partition={self.partition!r}, "
+                f"group={self.group!r})")
 
     @property
     def is_original(self) -> bool:

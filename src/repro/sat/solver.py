@@ -12,7 +12,10 @@ scratch.  It implements the standard modern CDCL loop:
 * solving under assumptions (MiniSAT-style) for incremental queries;
 * a first-class *incremental* interface: clauses may be added between
   :meth:`~CdclSolver.solve` calls (watches are repaired against the current
-  level-0 assignment on the fly), learned clauses, VSIDS activities and
+  level-0 assignment on the fly), one at a time through
+  :meth:`~CdclSolver.add_clause` or, from the Tseitin encoder, one AND-gate
+  definition of three clauses per :meth:`~CdclSolver.define_and` call;
+  learned clauses, VSIDS activities and
   saved phases all survive across calls, activation-literal clause groups
   (:meth:`~CdclSolver.new_group` / :meth:`~CdclSolver.release_group`) allow
   retractable constraints, and every call leaves a per-call
@@ -180,10 +183,12 @@ class CdclSolver:
         if self._trail_lim:
             raise SolverError("clauses may only be added at decision level 0")
         lits = list(dict.fromkeys(literals))
-        for lit in lits:
-            if lit == 0:
+        if lits:
+            if 0 in lits:
                 raise SolverError("0 is not a valid literal")
-            self.ensure_var(abs(lit))
+            top = max(max(lits), -min(lits))
+            if top > self._num_vars:
+                self.ensure_var(top)
         if group is not None:
             if group not in self._groups:
                 raise SolverError(f"unknown or released clause group {group}")
@@ -196,7 +201,7 @@ class CdclSolver:
             self._proof.add_original(cid, Clause(lits), partition, group)
 
         # Tautologies are recorded (for proof completeness) but never watched.
-        if any(-lit in lits for lit in lits):
+        if len(set(map(abs, lits))) != len(lits):
             return cid
 
         rec = _ClauseRec(cid, lits, learned=False)
@@ -220,33 +225,96 @@ class CdclSolver:
                 self._handle_root_conflict(rec)
             return cid
 
-        # Pick watch positions on literals that are not already false under
-        # the current level-0 assignment; handle clauses that arrive already
-        # unit or conflicting (possible because earlier units assigned
-        # variables at level 0).
-        non_false = [i for i, lit in enumerate(lits) if self._value(lit) != 0]
-        if len(non_false) == 0:
-            self._clauses.append(rec)
-            self._handle_root_conflict(rec)
-            return cid
-        if len(non_false) == 1:
-            self._clauses.append(rec)
-            only = lits[non_false[0]]
-            if self._value(only) == _UNASSIGNED:
-                self._enqueue(only, rec)
-            return cid
-        i0, i1 = non_false[0], non_false[1]
-        lits[0], lits[i0] = lits[i0], lits[0]
-        if i1 == 0:
-            i1 = i0
-        lits[1], lits[i1] = lits[i1], lits[1]
-        self._attach(rec)
+        self._watch_input(rec)
         return cid
 
-    def add_cnf(self, clauses: Iterable[Sequence[int]],
-                partition: Optional[int] = None) -> List[Optional[int]]:
-        """Add many clauses with a shared partition label."""
-        return [self.add_clause(c, partition) for c in clauses]
+    def define_and(self, out: int, left: int, right: int,
+                   partition: Optional[int] = None,
+                   group: Optional[int] = None) -> None:
+        """Add the Tseitin definition of ``out <-> left & right``.
+
+        Records ``[-out, left]``, ``[-out, right]`` and
+        ``[out, -left, -right]``, in that order, exactly as three
+        :meth:`add_clause` calls with the same ``partition`` and ``group``
+        would: consecutive clause ids, the same proof clauses and the same
+        level-0 watch, unit and conflict handling.  What it skips is the
+        per-clause revalidation, which a gate definition cannot need — its
+        three literals are on three distinct variables, so none of its
+        clauses has a duplicate literal or is a tautology.  Raises
+        :class:`SolverError` above decision level 0 and when two of
+        ``out``, ``left`` and ``right`` (or the group) share a variable.
+        """
+        if self._trail_lim:
+            raise SolverError("clauses may only be added at decision level 0")
+        out_var, left_var, right_var = abs(out), abs(left), abs(right)
+        if (left_var == right_var or out_var == left_var
+                or out_var == right_var or not (out_var and left_var and right_var)):
+            raise SolverError(
+                f"gate {out} = {left} & {right} needs three distinct nonzero variables")
+        top = max(out_var, left_var, right_var)
+        if top > self._num_vars:
+            self.ensure_var(top)
+        if group is None:
+            recs = None
+            clauses = ([-out, left], [-out, right], [out, -left, -right])
+        else:
+            recs = self._groups.get(group)
+            if recs is None:
+                raise SolverError(f"unknown or released clause group {group}")
+            if group in (out_var, left_var, right_var):
+                raise SolverError(
+                    f"gate {out} = {left} & {right} uses group variable {group}")
+            clauses = ([-out, left, -group], [-out, right, -group],
+                       [out, -left, -right, -group])
+        self.stats.clauses_added += 3
+        proof = self._proof
+        for lits in clauses:
+            # One id at a time: a clause arriving conflicting takes the next
+            # id for the derived empty clause, exactly as in add_clause.
+            cid = self._next_cid
+            self._next_cid = cid + 1
+            if proof is not None:
+                proof.add_original(cid, Clause._of_distinct(lits), partition,
+                                   group)
+            rec = _ClauseRec(cid, lits, False)
+            if recs is not None:
+                recs.append(rec)
+            self._watch_input(rec)
+
+    def _watch_input(self, rec: _ClauseRec) -> None:
+        """Store an input clause of two or more distinct variables.
+
+        Watch positions go on literals that are not already false under the
+        current level-0 assignment; a clause that arrives already unit or
+        conflicting (possible because earlier units assigned variables at
+        level 0) is propagated or refuted instead of watched.
+        """
+        lits = rec.lits
+        assign = self._assign
+        # A literal is false exactly when its variable's value equals its
+        # sign bit (unassigned variables hold _UNASSIGNED, never 0 or 1).
+        first, second = lits[0], lits[1]
+        if assign[abs(first)] != (first < 0) and assign[abs(second)] != (second < 0):
+            self._clauses.append(rec)
+            watches = self._watches
+            watches[(abs(first) << 1) | (first < 0)].append(rec)
+            watches[(abs(second) << 1) | (second < 0)].append(rec)
+            return
+        non_false = [i for i, lit in enumerate(lits)
+                     if assign[abs(lit)] != (lit < 0)]
+        if len(non_false) < 2:
+            self._clauses.append(rec)
+            if not non_false:
+                self._handle_root_conflict(rec)
+            else:
+                only = lits[non_false[0]]
+                if assign[abs(only)] == _UNASSIGNED:
+                    self._enqueue(only, rec)
+            return
+        i0, i1 = non_false[0], non_false[1]
+        lits[0], lits[i0] = lits[i0], lits[0]
+        lits[1], lits[i1] = lits[i1], lits[1]
+        self._attach(rec)
 
     # ------------------------------------------------------------------ #
     # Activation-literal clause groups (incremental retraction)

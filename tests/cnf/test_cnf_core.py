@@ -1,6 +1,7 @@
 """Unit tests for clause/CNF containers and DIMACS I/O."""
 
 import io
+import random
 
 import pytest
 
@@ -35,6 +36,21 @@ def test_clause_normalisation_and_membership():
 def test_clause_tautology_detection():
     assert Clause([1, -1, 2]).is_tautology
     assert not Clause([1, 2]).is_tautology
+
+
+def test_clause_literal_order_is_by_variable_then_sign():
+    rng = random.Random(7)
+    tautologies = 0
+    for _ in range(2000):
+        lits = [rng.choice([1, -1]) * rng.randint(1, 6)
+                for _ in range(rng.randint(0, 8))]
+        clause = Clause(lits)
+        assert clause.literals == tuple(
+            sorted(set(lits), key=lambda x: (abs(x), x < 0)))
+        assert clause.is_tautology == (len({abs(x) for x in lits})
+                                       != len(set(lits)))
+        tautologies += clause.is_tautology
+    assert tautologies > 0
 
 
 def test_clause_equality_and_hash():

@@ -61,7 +61,7 @@ def test_encoder_caches_gates_across_roots():
     g = aig.add_and(a, b)
     h = aig.op_or(g, a)
     cnf = Cnf()
-    encoder = TseitinEncoder(aig, cnf.new_var, lambda cl: cnf.add_clause(cl))
+    encoder = TseitinEncoder(aig, cnf)
     first = encoder.literal(g)
     clauses_after_first = len(cnf)
     second = encoder.literal(g)
@@ -74,7 +74,7 @@ def test_encoder_caches_gates_across_roots():
 def test_encoder_constant_literals():
     aig = Aig()
     cnf = Cnf()
-    encoder = TseitinEncoder(aig, cnf.new_var, lambda cl: cnf.add_clause(cl))
+    encoder = TseitinEncoder(aig, cnf)
     false_lit = encoder.literal(0)
     true_lit = encoder.literal(1)
     assert false_lit == -true_lit
@@ -93,8 +93,7 @@ def test_encoder_without_leaf_allocation_requires_declaration():
     b = aig.add_input()
     g = aig.add_and(a, b)
     cnf = Cnf()
-    encoder = TseitinEncoder(aig, cnf.new_var, lambda cl: cnf.add_clause(cl),
-                             allocate_leaves=False)
+    encoder = TseitinEncoder(aig, cnf, allocate_leaves=False)
     with pytest.raises(KeyError):
         encoder.literal(g)
     encoder.declare_leaf(lit_var(a), cnf.new_var())
@@ -102,6 +101,36 @@ def test_encoder_without_leaf_allocation_requires_declaration():
     assert encoder.literal(g) != 0
     assert encoder.has_var(lit_var(a))
     assert lit_var(a) in encoder.var_map()
+
+
+def test_cnf_target_takes_gate_definitions_and_rejects_labels():
+    cnf = Cnf()
+    cnf.define_and(3, 1, -2)
+    assert [clause.literals for clause in cnf.clauses] == [
+        (1, -3), (-2, -3), (-1, 2, 3)]
+    assert cnf.num_vars == 3
+    with pytest.raises(ValueError):
+        cnf.define_and(6, 4, 5, partition=1)
+    with pytest.raises(ValueError):
+        cnf.add_clause([4], group=7)
+    assert len(cnf) == 3
+
+
+def test_encoder_labels_solver_clauses_with_partition_and_group():
+    aig = Aig()
+    a = aig.add_input()
+    b = aig.add_input()
+    g = aig.add_and(a, lit_negate(b))
+    solver = CdclSolver(proof_logging=True)
+    encoder = TseitinEncoder(aig, solver)
+    encoder.partition = 2
+    encoder.group = solver.new_group()
+    encoder.literal(g)
+    encoder.literal(0)
+    nodes = solver._proof.nodes_in_order()
+    assert len(nodes) == 4
+    assert {(node.partition, node.group) for node in nodes} == {(2, encoder.group)}
+    assert all(-encoder.group in node.clause for node in nodes)
 
 
 def test_negated_root_encoding():

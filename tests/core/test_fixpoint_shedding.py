@@ -6,12 +6,11 @@ check that mentions it, with unchanged answers.  Leaves are never owned by
 groups, so forgetting one is a contract violation the encoder rejects.
 """
 
-import itertools
-
 import pytest
 
 from repro.aig import Aig
 from repro.aig.aig import lit_var
+from repro.cnf import Cnf
 from repro.cnf.tseitin import TseitinEncoder
 from repro.core.fixpoint import FixpointChecker
 from repro.sat.types import SatResult
@@ -79,9 +78,7 @@ def test_encoder_refuses_to_forget_leaves():
     a = aig.add_input()
     latch = aig.add_latch(init=0)
     aig.set_latch_next(latch, a)
-    counter = itertools.count(1)
-    encoder = TseitinEncoder(aig, lambda: next(counter), lambda clause: None,
-                             allocate_leaves=True)
+    encoder = TseitinEncoder(aig, Cnf(), allocate_leaves=True)
     encoder.literal(a)
     for leaf in (lit_var(a), lit_var(latch), 0):
         with pytest.raises(ValueError):
