@@ -128,6 +128,7 @@ class ItpEngine(UmcEngine):
                 builder = InterpolantBuilder(self.aig, cut_map,
                                              system=self.options.itp_system)
                 itp = builder.extract(proof, a_partitions=[1])
+                self.stats.itp_steps_replayed += builder.steps_replayed
                 itp = self._register_interpolant(self.aig, itp)
 
             if self._implies(itp, reached):

@@ -92,6 +92,7 @@ class ItpSeqEngine(UmcEngine):
                     sequence = extract_sequence(proof, k + 1, cut_maps,
                                                 self.aig,
                                                 system=self.options.itp_system)
+                    self.stats.itp_steps_replayed += sequence.steps_replayed
                     elements = list(sequence.elements)
                     for j in range(1, k + 1):
                         elements[j] = self._register_interpolant(self.aig,

@@ -33,7 +33,8 @@ STAT_GROUPS: Dict[str, tuple] = {
                    "pre_ands_removed", "pre_cnf_clauses_eliminated",
                    "fraig_classes", "fraig_merges", "fraig_sat_confirms",
                    "fraig_sat_refutes", "fraig_rounds"),
-    "lifecycle": ("itp_extractions", "itp_nodes", "containment_checks",
+    "lifecycle": ("itp_extractions", "itp_nodes", "itp_steps_replayed",
+                  "containment_checks",
                   "proof_nodes_trimmed", "itp_ands_compacted",
                   "fixpoint_encodings_reused", "fixpoint_groups_shed",
                   "proof_group_solves_saved", "proof_chains_stripped",
@@ -84,6 +85,10 @@ class EngineStats:
     simulation rounds evaluated (they stay 0 when the pipeline contains no
     ``fraig`` pass).
 
+    ``itp_steps_replayed`` is the extraction work itself: the resolution
+    steps replayed over every (A, B) cut of every extracted interpolant
+    (a sequence of n-1 cuts replays its refutation's core n-1 times).
+
     The interpolant-lifecycle counters measure what the post-extraction
     machinery saved: ``proof_nodes_trimmed`` — proof nodes removed from
     refutations before extraction (core trimming + RecyclePivots);
@@ -115,6 +120,7 @@ class EngineStats:
     sat_time: float = 0.0
     itp_extractions: int = 0
     itp_nodes: int = 0
+    itp_steps_replayed: int = 0
     refinements: int = 0
     abstract_latches: int = 0
     containment_checks: int = 0
@@ -151,6 +157,7 @@ class EngineStats:
             "sat_time": round(self.sat_time, 4),
             "itp_extractions": self.itp_extractions,
             "itp_nodes": self.itp_nodes,
+            "itp_steps_replayed": self.itp_steps_replayed,
             "refinements": self.refinements,
             "abstract_latches": self.abstract_latches,
             "containment_checks": self.containment_checks,

@@ -65,6 +65,7 @@ def compute_serial_sequence(
         cut_maps = {j: base_unroller.cut_var_map(j) for j in range(1, k + 1)}
         parallel = extract_sequence(base_proof, n, cut_maps, aig,
                                     system=options.itp_system)
+        engine.stats.itp_steps_replayed += parallel.steps_replayed
         for j in range(1, k + 1):
             elements[j] = engine._register_interpolant(aig, parallel.element(j))
         return elements
@@ -74,6 +75,7 @@ def compute_serial_sequence(
                                  system=options.itp_system)
     elements[1] = engine._register_interpolant(
         aig, builder.extract(base_proof, a_partitions=[1]))
+    engine.stats.itp_steps_replayed += builder.steps_replayed
 
     # Serial elements 2..n_serial: one SAT call each on a shortened unrolling
     # whose frame 0 is constrained to the previous element (Eq. (3)).
@@ -94,6 +96,7 @@ def compute_serial_sequence(
         elements[j] = engine._register_interpolant(
             aig, step_builder.extract(engine._reduced_proof(unroller.solver),
                                       a_partitions=[1]))
+        engine.stats.itp_steps_replayed += step_builder.steps_replayed
 
     # Remaining elements n_serial+1 .. k: parallel extraction from one more
     # refutation of I_{n_serial} ∧ Γ_{n_serial+1..n}.
@@ -109,6 +112,7 @@ def compute_serial_sequence(
         remainder = extract_sequence(engine._reduced_proof(unroller.solver),
                                      suffix_depth + 1,
                                      cut_maps, aig, system=options.itp_system)
+        engine.stats.itp_steps_replayed += remainder.steps_replayed
         for offset in range(1, suffix_depth + 1):
             elements[n_serial + offset] = engine._register_interpolant(
                 aig, remainder.element(offset))

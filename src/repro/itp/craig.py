@@ -50,6 +50,9 @@ class InterpolantBuilder:
         state cut, and anything else indicates a mis-labelled clause.
     system:
         ``"mcmillan"`` (default) or ``"pudlak"``.
+
+    ``steps_replayed`` counts the resolution steps the builder's
+    extractions replayed, over all of its :meth:`extract` calls.
     """
 
     def __init__(self, aig: Aig, global_var_map: Mapping[int, int],
@@ -59,6 +62,7 @@ class InterpolantBuilder:
         self.aig = aig
         self.global_var_map = dict(global_var_map)
         self.system = system
+        self.steps_replayed = 0
 
     # ------------------------------------------------------------------ #
     # Public API
@@ -108,7 +112,7 @@ class InterpolantBuilder:
             if not is_a_clause:
                 return TRUE
             lits = [self._aig_literal_for(l) for l in node.clause.literals
-                    if classes.var_class(abs(l)) is VarClass.GLOBAL]
+                    if classes.is_global(abs(l))]
             return self.aig.op_or(*lits) if lits else FALSE
         # Pudlák / symmetric system.
         return FALSE if is_a_clause else TRUE
@@ -139,6 +143,7 @@ class InterpolantBuilder:
                       classes: VariableClassification,
                       partial: Dict[int, int]) -> int:
         chain = node.chain
+        self.steps_replayed += len(chain) - 1
         first_id = chain[0][1]
         current_itp = partial.get(first_id)
         if current_itp is None:

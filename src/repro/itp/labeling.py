@@ -13,12 +13,18 @@ Classification is computed over *all* original clauses, not only over the
 clauses participating in the refutation core: this keeps the labelling
 consistent with the full (A, B) formulas, which is what Definition 1 in the
 paper constrains the interpolant's support against.
+
+The clauses are scanned once per proof, not once per split: the proof
+caches, for every variable, the mask of the partition labels it occurs
+under (:meth:`repro.sat.proof.ResolutionProof.label_masks`).  A split is
+then just the mask of its A-side labels, and a lookup is two bit tests —
+so the n-1 cuts of an interpolation sequence share one scan.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Dict, Iterable, Optional, Set
+from typing import Dict, Iterable, Set
 
 from ..sat.proof import ResolutionProof
 
@@ -34,10 +40,17 @@ class VarClass(enum.Enum):
 
 
 class VariableClassification:
-    """Locality lookup for one (A, B) split of a proof's original clauses."""
+    """Locality lookup for one (A, B) split of a proof's original clauses.
 
-    def __init__(self, classes: Dict[int, VarClass], a_partitions: Set[int]) -> None:
-        self._classes = classes
+    ``masks`` maps each variable to the label bits it occurs under, and
+    ``a_mask`` holds the bits of the A-side labels.
+    """
+
+    def __init__(self, masks: Dict[int, int], a_mask: int,
+                 a_partitions: Set[int]) -> None:
+        self._masks = masks
+        self._a_mask = a_mask
+        self._b_mask = ~a_mask
         self.a_partitions = set(a_partitions)
 
     def var_class(self, var: int) -> VarClass:
@@ -46,16 +59,20 @@ class VariableClassification:
         Variables introduced only by derived clauses cannot exist in a valid
         resolution proof, but defaulting keeps the lookup total.
         """
-        return self._classes.get(var, VarClass.B_LOCAL)
+        mask = self._masks.get(var, 0)
+        if not mask & self._a_mask:
+            return VarClass.B_LOCAL
+        return VarClass.GLOBAL if mask & self._b_mask else VarClass.A_LOCAL
 
     def is_global(self, var: int) -> bool:
-        return self._classes.get(var) is VarClass.GLOBAL
+        mask = self._masks.get(var, 0)
+        return bool(mask & self._a_mask and mask & self._b_mask)
 
     def globals(self) -> Set[int]:
-        return {v for v, c in self._classes.items() if c is VarClass.GLOBAL}
+        return {v for v in self._masks if self.is_global(v)}
 
     def __len__(self) -> int:
-        return len(self._classes)
+        return len(self._masks)
 
 
 def classify_variables(proof: ResolutionProof,
@@ -68,18 +85,9 @@ def classify_variables(proof: ResolutionProof,
     default for auxiliary constraints added outside the Γ split.
     """
     a_set = set(a_partitions)
-    in_a: Set[int] = set()
-    in_b: Set[int] = set()
-    for node in proof.original_nodes():
-        side = in_a if (node.partition is not None and node.partition in a_set) else in_b
-        for var in node.clause.variables():
-            side.add(var)
-    classes: Dict[int, VarClass] = {}
-    for var in in_a | in_b:
-        if var in in_a and var in in_b:
-            classes[var] = VarClass.GLOBAL
-        elif var in in_a:
-            classes[var] = VarClass.A_LOCAL
-        else:
-            classes[var] = VarClass.B_LOCAL
-    return VariableClassification(classes, a_set)
+    labels = proof.label_masks()
+    a_mask = 0
+    for label in a_set:
+        if label is not None:
+            a_mask |= labels.bits.get(label, 0)
+    return VariableClassification(labels.masks, a_mask, a_set)

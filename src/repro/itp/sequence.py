@@ -33,10 +33,12 @@ class InterpolationSequence:
     """A materialised interpolation sequence.
 
     ``elements[j]`` is the AIG literal of Iⱼ for j in 0..n; ``elements[0]``
-    is ⊤ and ``elements[n]`` is ⊥ by construction.
+    is ⊤ and ``elements[n]`` is ⊥ by construction.  ``steps_replayed`` is
+    the number of resolution steps the extraction replayed, over all cuts.
     """
 
     elements: List[int]
+    steps_replayed: int = 0
 
     @property
     def length(self) -> int:
@@ -88,10 +90,12 @@ def extract_sequence(
         raise InterpolationError(
             f"proof contains partition labels outside 1..{num_partitions}: {unknown}")
 
-    # One core walk serves every cut: the refutation (reduced or raw) is
-    # shared, only the (A, B) split moves.
+    # One core walk and one labelling (the proof's cached label masks)
+    # serve every cut: the refutation (reduced or raw) is shared, only the
+    # (A, B) split moves.
     core_order = proof.core_ids()
     elements: List[int] = [TRUE]
+    steps_replayed = 0
     for j in range(1, num_partitions):
         var_map = cut_var_maps.get(j)
         if var_map is None:
@@ -99,5 +103,6 @@ def extract_sequence(
         builder = InterpolantBuilder(aig, var_map, system=system)
         elements.append(builder.extract(proof, a_partitions=range(1, j + 1),
                                         core_order=core_order))
+        steps_replayed += builder.steps_replayed
     elements.append(FALSE)
-    return InterpolationSequence(elements)
+    return InterpolationSequence(elements, steps_replayed)

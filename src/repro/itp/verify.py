@@ -101,14 +101,17 @@ def check_sequence_conditions(
     are taken from the proof's original clauses.
     """
     n = len(elements) - 1
+    originals = proof.original_nodes()
+    max_var = max((abs(l) for node in originals
+                   for l in node.clause.literals), default=0)
+    by_partition: Dict[Optional[int], list] = {}
+    for node in originals:
+        by_partition.setdefault(node.partition, []).append(node.clause.literals)
     for i in range(n):
         solver = CdclSolver()
-        max_var = max((abs(l) for node in proof.original_nodes()
-                       for l in node.clause.literals), default=0)
         solver.ensure_var(max_var)
-        for node in proof.original_nodes():
-            if node.partition == i + 1:
-                solver.add_clause(list(node.clause.literals))
+        for literals in by_partition.get(i + 1, ()):
+            solver.add_clause(list(literals))
         # Left element at cut i (skip I₀ = ⊤), negated right element at cut i+1
         # (skip Iₙ = ⊥, whose negation is a tautology).
         if i > 0:

@@ -41,12 +41,17 @@ the formula — so a core that touches one is rejected with
 
 from __future__ import annotations
 
+import itertools
+import operator
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from ..cnf.cnf import Clause
 
-__all__ = ["ProofNode", "ResolutionProof", "ProofError",
+_PARTITION = operator.attrgetter("partition")
+_LITERALS = operator.attrgetter("clause.literals")
+
+__all__ = ["ProofNode", "ResolutionProof", "LabelMasks", "ProofError",
            "ActivationDependencyError", "check_proof",
            "ProofReductionStats", "reduce_proof",
            "ActivationStripStats", "strip_activations"]
@@ -104,9 +109,43 @@ class ProofNode:
     def is_original(self) -> bool:
         return not self.chain
 
-    @property
-    def antecedents(self) -> List[int]:
-        return [cid for _, cid in self.chain]
+
+class LabelMasks(NamedTuple):
+    """Which partition labels the variables of a proof's originals occur under.
+
+    Every label (``None`` included) owns one bit of ``bits``; ``masks`` maps
+    each variable of an original clause to the union of the bits of the
+    labels of the clauses it occurs in.  Locality under any (A, B) split is
+    then two bit tests per variable (:mod:`repro.itp.labeling`).
+    """
+
+    bits: Dict[Optional[int], int]
+    masks: Dict[int, int]
+
+
+def _label_masks(originals: Sequence[ProofNode]) -> LabelMasks:
+    """Compute the :class:`LabelMasks` of a list of original nodes.
+
+    Solvers add a partition's clauses in runs, so the literals are gathered
+    run by run; only variables shared between labels (the cut variables of
+    a time-frame partitioning) take the per-variable path.
+    """
+    by_label: Dict[Optional[int], List[int]] = {}
+    for label, run in itertools.groupby(originals, _PARTITION):
+        literals = by_label.get(label)
+        if literals is None:
+            literals = by_label[label] = []
+        literals.extend(itertools.chain.from_iterable(map(_LITERALS, run)))
+    bits: Dict[Optional[int], int] = {}
+    masks: Dict[int, int] = {}
+    for label, literals in by_label.items():
+        bit = bits[label] = 1 << len(bits)
+        variables = set(map(abs, literals))
+        shared = variables.intersection(masks)
+        masks.update(dict.fromkeys(variables - shared, bit))
+        for var in shared:
+            masks[var] |= bit
+    return LabelMasks(bits, masks)
 
 
 class ResolutionProof:
@@ -116,12 +155,20 @@ class ResolutionProof:
     order, which guarantees antecedents always have smaller identifiers than
     the clauses derived from them — the property the interpolation replay
     relies on to process nodes in one pass.
+
+    Nodes are never modified once added, so proofs derived from this one
+    (:func:`reduce_proof`) share its original nodes instead of copying them.
     """
 
     def __init__(self) -> None:
         self._nodes: Dict[int, ProofNode] = {}
         self._order: List[int] = []
+        self._originals: List[ProofNode] = []
         self.empty_clause_id: Optional[int] = None
+        #: ``(originals covered, masks)``: the cached :meth:`label_masks`.
+        #: Never updated in place, so proofs sharing it stay unaffected
+        #: when this one grows.
+        self._labels: Optional[Tuple[int, LabelMasks]] = None
 
     # ------------------------------------------------------------------ #
     # Construction (called by the solver)
@@ -138,9 +185,18 @@ class ResolutionProof:
         """
         if clause_id in self._nodes:
             raise ProofError(f"duplicate clause id {clause_id}")
-        self._nodes[clause_id] = ProofNode(clause_id, clause, [], partition,
-                                           group)
+        node = self._nodes[clause_id] = ProofNode(clause_id, clause, [],
+                                                  partition, group)
         self._order.append(clause_id)
+        self._originals.append(node)
+
+    def _adopt(self, node: ProofNode) -> None:
+        """Register another proof's original node, shared rather than copied."""
+        if node.clause_id in self._nodes:
+            raise ProofError(f"duplicate clause id {node.clause_id}")
+        self._nodes[node.clause_id] = node
+        self._order.append(node.clause_id)
+        self._originals.append(node)
 
     def add_derived(self, clause_id: int, clause: Clause,
                     chain: Sequence[Tuple[Optional[int], int]]) -> None:
@@ -178,7 +234,7 @@ class ResolutionProof:
         return [self._nodes[cid] for cid in self._order]
 
     def original_nodes(self) -> List[ProofNode]:
-        return [n for n in self.nodes_in_order() if n.is_original]
+        return list(self._originals)
 
     def derived_nodes(self) -> List[ProofNode]:
         return [n for n in self.nodes_in_order() if not n.is_original]
@@ -189,7 +245,31 @@ class ResolutionProof:
 
     def partitions(self) -> Set[int]:
         """Return the set of partition labels used by original clauses."""
-        return {n.partition for n in self.original_nodes() if n.partition is not None}
+        return {p for p in self.label_masks().bits if p is not None}
+
+    def label_masks(self) -> LabelMasks:
+        """The partition labels every variable of the originals occurs under.
+
+        Computed once and cached; adding originals later makes the next
+        call compute a fresh one.
+        """
+        count = len(self._originals)
+        if self._labels is None or self._labels[0] != count:
+            self._labels = (count, _label_masks(self._originals))
+        return self._labels[1]
+
+    def _leaves(self) -> "ResolutionProof":
+        """A new proof holding this proof's original nodes and label masks.
+
+        The nodes and the cached masks are shared, not copied; derived
+        clauses added to either proof afterwards stay its own.
+        """
+        leaves = ResolutionProof()
+        leaves._originals = list(self._originals)
+        leaves._nodes = {node.clause_id: node for node in self._originals}
+        leaves._order = list(leaves._nodes)
+        leaves._labels = self._labels
+        return leaves
 
     # ------------------------------------------------------------------ #
     # Core DAG extraction
@@ -197,23 +277,24 @@ class ResolutionProof:
     def core_ids(self, root_id: Optional[int] = None) -> List[int]:
         """Return the clause ids reachable from ``root_id`` (default: the empty clause).
 
-        The result is in topological order (antecedents before consequents)
-        and is the *unsat core DAG* interpolation actually traverses; chains
-        recorded for clauses that never feed the refutation are skipped.
+        The result is in topological order (antecedents before consequents,
+        since ids are creation-ordered) and is the *unsat core DAG*
+        interpolation actually traverses; chains recorded for clauses that
+        never feed the refutation are skipped.
         """
         if root_id is None:
             if self.empty_clause_id is None:
                 raise ProofError("proof does not derive the empty clause")
             root_id = self.empty_clause_id
-        needed: Set[int] = set()
+        nodes = self._nodes
+        needed: Set[int] = {root_id}
         stack = [root_id]
         while stack:
-            cid = stack.pop()
-            if cid in needed:
-                continue
-            needed.add(cid)
-            stack.extend(self._nodes[cid].antecedents)
-        return [cid for cid in self._order if cid in needed]
+            for _, antecedent in nodes[stack.pop()].chain:
+                if antecedent not in needed:
+                    needed.add(antecedent)
+                    stack.append(antecedent)
+        return sorted(needed)
 
     def core_original_clauses(self) -> List[ProofNode]:
         """Original clauses participating in the refutation."""
@@ -301,6 +382,15 @@ def _mark_recyclable(proof: ResolutionProof, derived_core: List["ProofNode"],
     assert root_id is not None
     live.add(root_id)
     rl[root_id] = set()
+    nodes = proof._nodes
+
+    def note_antecedent(antecedent_id: int, contribution: Set[int]) -> None:
+        if nodes[antecedent_id].chain:
+            live.add(antecedent_id)
+            if refcount.get(antecedent_id, 0) == 1:
+                rl[antecedent_id] = contribution
+            else:
+                rl[antecedent_id] = set()
 
     for node in reversed(derived_core):
         cid = node.clause_id
@@ -313,21 +403,11 @@ def _mark_recyclable(proof: ResolutionProof, derived_core: List["ProofNode"],
         for index in range(len(chain) - 1, 0, -1):
             pivot, antecedent_id = chain[index]
             assert pivot is not None
-            lit = _chain_pivot_literal(pivot, proof.node(antecedent_id).clause)
+            lit = _chain_pivot_literal(pivot, nodes[antecedent_id].clause)
             if lit is None:
                 # Defensive: a malformed step; keep it, stop propagating.
                 safe = set()
                 continue
-
-            def _note_antecedent(contribution: Set[int]) -> None:
-                ante = proof.node(antecedent_id)
-                if not ante.is_original:
-                    live.add(antecedent_id)
-                    if refcount.get(antecedent_id, 0) == 1:
-                        rl[antecedent_id] = contribution
-                    else:
-                        rl[antecedent_id] = set()
-
             if -lit in safe:
                 # The prefix side's pivot literal survives harmlessly:
                 # drop this step, keep resolving the prefix.
@@ -338,18 +418,12 @@ def _mark_recyclable(proof: ResolutionProof, derived_core: List["ProofNode"],
                 # whole prefix (steps 1..index) is bypassed and the chain
                 # restarts at this antecedent.
                 start = index
-                _note_antecedent(set(safe))
+                note_antecedent(antecedent_id, set(safe))
                 break
-            _note_antecedent(safe | {lit})
+            note_antecedent(antecedent_id, safe | {lit})
             safe = safe | {-lit}
         if start == 0:
-            start_node = proof.node(chain[0][1])
-            if not start_node.is_original:
-                live.add(chain[0][1])
-                if refcount.get(chain[0][1], 0) == 1:
-                    rl[chain[0][1]] = safe
-                else:
-                    rl[chain[0][1]] = set()
+            note_antecedent(chain[0][1], safe)
         start_at[cid] = start
         dropped[cid] = drops
     return start_at, dropped
@@ -377,7 +451,11 @@ def reduce_proof(proof: ResolutionProof, recycle_pivots: bool = True
     falls outside the core: interpolation classifies variable locality over
     the full (A, B) clause sets (see :mod:`repro.itp.labeling`), so keeping
     the leaves intact guarantees a reduced proof never changes a variable's
-    class — only the derivation DAG above the leaves shrinks.  The reduced
+    class — only the derivation DAG above the leaves shrinks.  The leaves
+    are shared with ``proof``, not copied: the reduced proof holds the same
+    :class:`ProofNode` objects and the same cached
+    :meth:`ResolutionProof.label_masks`, and clauses the solver adds to
+    ``proof`` afterwards do not reach it.  The reduced
     proof replays exactly (reconstruction *is* a replay), so it satisfies
     :func:`check_proof`, and any interpolant extracted from it is a valid
     interpolant for the original (A, B) split.
@@ -387,8 +465,7 @@ def reduce_proof(proof: ResolutionProof, recycle_pivots: bool = True
     root_id = proof.empty_clause_id
     assert root_id is not None
     core = proof.core_ids()
-    derived_core = [proof.node(cid) for cid in core
-                    if not proof.node(cid).is_original]
+    derived_core = [node for node in map(proof.node, core) if node.chain]
 
     refcount: Dict[int, int] = {}
     for node in derived_core:
@@ -445,19 +522,19 @@ def reduce_proof(proof: ResolutionProof, recycle_pivots: bool = True
                 # intermediate clause subsumes the would-be resolvent.
                 stats.steps_dropped += 1
                 continue
-            antecedent = clause_of(antecedent_id)
+            antecedent = clause_of(antecedent_id).literals
             d_pos, d_neg = pivot in antecedent, -pivot in antecedent
             if not d_pos and not d_neg:
                 # The antecedent lost its pivot literal: it subsumes the
                 # resolvent outright and replaces the whole prefix.
-                current = set(antecedent.literals)
+                current = set(antecedent)
                 rebuilt = [(None, antecedent_id)]
                 stats.steps_dropped += 1
                 continue
             if (c_neg and d_pos) or (c_pos and d_neg):
                 lit = pivot if (c_neg and d_pos) else -pivot
                 current = ((current - {-lit})
-                           | (set(antecedent.literals) - {lit}))
+                           | (set(antecedent) - {lit}))
                 rebuilt.append((pivot, antecedent_id))
             else:
                 # Same polarity on both sides (possible only through a
@@ -485,10 +562,7 @@ def reduce_proof(proof: ResolutionProof, recycle_pivots: bool = True
         needed.add(cid)
         stack.extend(aid for _, aid in new_chains[cid])
 
-    reduced = ResolutionProof()
-    for node in proof.original_nodes():
-        reduced.add_original(node.clause_id, node.clause, node.partition,
-                             node.group)
+    reduced = proof._leaves()
     for node in derived_core:
         cid = node.clause_id
         if cid in needed:
@@ -541,7 +615,10 @@ def strip_activations(proof: ResolutionProof, active_groups: Set[int],
       clauses (e.g. the depth target of a BMC check);
     * every other original clause is kept untouched, label included, even
       off-core: interpolation classifies variable locality over the full
-      (A, B) clause sets, exactly the rationale of :func:`reduce_proof`;
+      (A, B) clause sets, exactly the rationale of :func:`reduce_proof`.
+      Like there, such a clause's :class:`ProofNode` is shared with
+      ``proof``, not copied; only the active-group clauses above get new
+      nodes;
     * original clauses of *released or foreign* groups — including the
       ``[-g]`` release units a retraction asserts — are dropped when they
       sit outside the root's core and rejected with
@@ -591,7 +668,7 @@ def strip_activations(proof: ResolutionProof, active_groups: Set[int],
                 stats.literals_stripped += len(node.clause) - len(lits)
                 stripped.add_original(cid, Clause(lits), node.partition)
             else:
-                stripped.add_original(cid, node.clause, node.partition)
+                stripped._adopt(node)
             continue
         if cid not in core:
             continue

@@ -130,3 +130,26 @@ def test_engines_report_model_name():
     result = run_engine("itpseq", token_ring(4), EngineOptions(max_bound=10))
     assert result.model_name.startswith("ring4")
     assert "itpseq" in str(result)
+
+
+@pytest.mark.parametrize("engine", ["itp", "itpseq", "sitpseq", "itpseqcba"])
+def test_itp_steps_replayed_counts_extraction_work(engine):
+    from repro.core import run_engine
+    from repro.core.result import STAT_GROUPS
+    from repro.harness.records import EngineRecord
+
+    result = run_engine(engine, token_ring(4), EngineOptions(max_bound=10))
+    assert result.verdict is Verdict.PASS
+    # Every extracted interpolant replays at least one resolution step.
+    assert result.stats.itp_steps_replayed >= result.stats.itp_extractions > 0
+    assert "itp_steps_replayed" in STAT_GROUPS["lifecycle"]
+    # A diagnostic counter, not a record column: artefacts stay unchanged.
+    assert "itp_steps_replayed" not in EngineRecord.from_result(result).as_dict()
+
+
+def test_itp_steps_replayed_is_zero_without_interpolation():
+    from repro.core import run_engine
+
+    result = run_engine("pdr", token_ring(4), EngineOptions(max_bound=10))
+    assert result.verdict is Verdict.PASS
+    assert result.stats.itp_steps_replayed == 0

@@ -198,6 +198,7 @@ def test_stats_groups_match_the_engine(safe_aag, capsys):
     assert main([safe_aag, "--engine", "itpseq", "--stats"]) == 0
     itpseq = capsys.readouterr().out
     assert "[solver]" in itpseq and "[lifecycle]" in itpseq
+    assert "itp_steps_replayed:" in itpseq
     assert "[pdr]" not in itpseq and "blocked_cubes:" not in itpseq
     assert "[cba]" not in itpseq and "refinements:" not in itpseq
     # PDR reports frame counters, never the interpolant lifecycle.
@@ -205,6 +206,7 @@ def test_stats_groups_match_the_engine(safe_aag, capsys):
     pdr = capsys.readouterr().out
     assert "[pdr]" in pdr and "blocked_cubes:" in pdr
     assert "[lifecycle]" not in pdr and "itp_extractions:" not in pdr
+    assert "itp_steps_replayed:" not in pdr
     # The CBA engine adds its abstraction group on top of the lifecycle.
     assert main([safe_aag, "--engine", "itpseqcba", "--stats"]) == 0
     cba = capsys.readouterr().out
